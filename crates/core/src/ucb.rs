@@ -27,7 +27,7 @@
 //! model satisfies while leaving the shape fully learnable.
 
 use crate::DragsterError;
-use dragster_gp::{beta_t, GpHyperFit, GpPosterior, GpRegressor, SquaredExp};
+use dragster_gp::{beta_t, GpHyperFit, GpPosterior, GridGp, SquaredExp};
 
 /// Which acquisition drives the configuration choice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,11 +69,6 @@ pub struct UcbConfig {
     /// every N observations (sklearn's restart-based fitting, batched);
     /// `None` keeps the configured length scale.
     pub hyper_refit_every: Option<usize>,
-    /// Serve grid posteriors from the incremental [`dragster_gp::GridCache`]
-    /// (O(t) per query) instead of a fresh triangular solve (O(t²)).
-    /// Results are bit-identical either way; disabling exists for the
-    /// hotpath bench's naive-vs-cached A/B comparison.
-    pub grid_cache: bool,
 }
 
 impl Default for UcbConfig {
@@ -87,7 +82,6 @@ impl Default for UcbConfig {
             deficit_weight: 3.0,
             acquisition: AcquisitionKind::ExtendedUcb,
             hyper_refit_every: Some(12),
-            grid_cache: true,
         }
     }
 }
@@ -103,14 +97,15 @@ impl UcbConfig {
 /// Observations entering the hyper-parameter grid search: the most recent
 /// window of residual history. Large enough that every existing fit
 /// (refits trigger every ~12 observations) sees all the data it used to;
-/// small enough that the O(W³) candidate factorizations stay constant-cost
-/// over long horizons.
+/// small enough that the O(W²·K) candidate fits stay constant-cost over
+/// long horizons.
 const HYPER_FIT_WINDOW: usize = 48;
 
-/// The per-operator capacity model: a 1-D GP over the task count.
+/// The per-operator capacity model: a 1-D GP over the task grid
+/// `1..=max_tasks`.
 pub struct OperatorGp {
     cfg: UcbConfig,
-    gp: GpRegressor<SquaredExp>,
+    gp: GridGp<SquaredExp>,
     /// Normalization scale: capacities are divided by this before entering
     /// the GP.
     scale: f64,
@@ -123,16 +118,12 @@ impl OperatorGp {
         OperatorGp::with_kernel(cfg, SquaredExp::new(cfg.length_scale))
     }
 
-    /// An empty model under `kernel`, with the grid cache attached when
-    /// the configuration asks for it.
+    /// An empty model under `kernel`.
     fn with_kernel(cfg: UcbConfig, kernel: SquaredExp) -> OperatorGp {
-        let mut gp = GpRegressor::new(kernel, cfg.noise_var).with_prior_mean(0.0);
-        if cfg.grid_cache {
-            gp.set_grid((1..=cfg.max_tasks.max(1)).map(|x| vec![x as f64]).collect());
-        }
+        let grid = (1..=cfg.max_tasks.max(1)).map(|x| x as f64).collect();
         OperatorGp {
             cfg,
-            gp,
+            gp: GridGp::new(kernel, cfg.noise_var, grid),
             scale: 1.0,
             history: Vec::new(),
         }
@@ -244,7 +235,7 @@ impl OperatorGp {
             self.refit()
         } else {
             let resid = capacity_sample / self.scale - self.prior(tasks);
-            self.gp.observe(&[tasks as f64], resid).map_err(Into::into)
+            self.gp.observe(tasks - 1, resid).map_err(Into::into)
         };
         if let Err(e) = updated {
             self.history.pop();
@@ -268,27 +259,21 @@ impl OperatorGp {
         if self.history.len() < 4 {
             return Ok(());
         }
-        // The grid search factors a fresh Gram matrix per candidate, so it
-        // is fit on a sliding window of recent residuals to keep the
-        // periodic refit O(W³) instead of growing cubically with history.
+        // The grid search fits a fresh model per candidate, so it is fit
+        // on a sliding window of recent residuals to keep the periodic
+        // refit O(W²·K) instead of growing with the history.
         let start = self.history.len().saturating_sub(HYPER_FIT_WINDOW);
-        let xs: Vec<Vec<f64>> = self
+        let samples: Vec<(usize, f64)> = self
             .history
             .iter()
             .skip(start)
-            .map(|&(t, _)| vec![t as f64])
-            .collect();
-        let cs: Vec<f64> = self
-            .history
-            .iter()
-            .skip(start)
-            .map(|&(t, c)| c / self.scale - self.prior(t))
+            .map(|&(t, c)| (t - 1, c / self.scale - self.prior(t)))
             .collect();
         let fit = GpHyperFit {
             length_scales: vec![1.0, 2.0, 3.0, 5.0, 8.0],
             signal_vars: vec![0.05, 0.25, 1.0],
         };
-        let (l, s2, _) = fit.fit_se(&xs, &cs, self.cfg.noise_var)?;
+        let (l, s2, _) = fit.fit_se(self.gp.points(), &samples, self.cfg.noise_var)?;
         // The candidate grids are discrete, so an unchanged winner means an
         // exactly unchanged kernel — skip the full-history rebuild.
         #[allow(clippy::float_cmp)]
@@ -296,12 +281,7 @@ impl OperatorGp {
         if unchanged {
             return Ok(());
         }
-        let grid = self.gp.take_grid();
-        self.gp = GpRegressor::new(SquaredExp::with_signal(l, s2), self.cfg.noise_var)
-            .with_prior_mean(0.0);
-        if let Some(g) = grid {
-            self.gp.install_grid(g);
-        }
+        self.gp.reset_with(SquaredExp::with_signal(l, s2));
         self.rebuild()
     }
 
@@ -317,21 +297,18 @@ impl OperatorGp {
     fn rebuild(&mut self) -> Result<(), DragsterError> {
         for &(tasks, c) in &self.history {
             let resid = c / self.scale - self.prior(tasks);
-            self.gp.observe(&[tasks as f64], resid)?;
+            self.gp.observe(tasks - 1, resid)?;
         }
         Ok(())
     }
 
-    /// Residual posterior at a task count, served from the grid cache when
-    /// one is attached (O(t) per query instead of an O(t²) solve) and
-    /// bit-identical either way.
+    /// Residual posterior at a task count: `O(1)` on the grid, one solve
+    /// off it, with the same bits either way.
     fn raw_posterior(&self, tasks: usize) -> GpPosterior {
-        if tasks >= 1 {
-            if let Some(p) = self.gp.posterior_grid(tasks - 1) {
-                return p;
-            }
-        }
-        self.gp.posterior(&[tasks as f64])
+        tasks
+            .checked_sub(1)
+            .and_then(|gi| self.gp.grid_posterior(gi))
+            .unwrap_or_else(|| self.gp.posterior(tasks as f64))
     }
 
     /// Posterior over the *normalized* capacity at a task count (the
@@ -376,7 +353,7 @@ impl OperatorGp {
     /// (index 0 → 1 task), reusing the buffer's allocation. The
     /// per-candidate invariants — the normalized target `yt` and the
     /// linear-prior slope — are hoisted out of the grid loop, so each
-    /// candidate costs one cached posterior lookup and a few flops.
+    /// candidate costs one `O(1)` grid posterior and a few flops.
     pub fn acquisition_table_into(&self, target_capacity: f64, beta: f64, out: &mut Vec<f64>) {
         let yt = target_capacity / self.scale;
         let prior_step = 1.0 / (self.cfg.max_tasks.max(1) as f64 * 1.25);
@@ -406,8 +383,7 @@ impl OperatorGp {
         target_capacity: f64,
         normals: impl FnMut() -> f64,
     ) -> Result<Vec<f64>, DragsterError> {
-        let grid: Vec<Vec<f64>> = (1..=self.cfg.max_tasks).map(|x| vec![x as f64]).collect();
-        let sample = self.gp.sample_posterior(&grid, normals)?;
+        let sample = self.gp.sample_posterior(normals)?;
         let yt = target_capacity / self.scale;
         Ok((0..self.cfg.max_tasks)
             .map(|i| {
@@ -593,22 +569,44 @@ mod tests {
         assert!((est - 500.0).abs() / 500.0 < 0.2, "{est}");
     }
 
-    #[test]
-    fn cached_and_naive_modes_are_bit_identical() {
-        // Same observation stream through a cached and an uncached
-        // operator model — including scale growth (first sample implies a
-        // tiny scale, a later one 50× larger) and periodic hyper refits —
-        // must yield bitwise-equal acquisition tables and estimates.
-        let mk = |grid_cache| {
-            OperatorGp::new(UcbConfig {
-                noise_var: 1e-3,
-                hyper_refit_every: Some(5),
-                grid_cache,
-                ..Default::default()
+    /// `capacity_estimate` at every task count and the acquisition table
+    /// of `g`, computed instead on the plain exact regressor rebuilt from
+    /// `history()`, `scale()` and `kernel()`.
+    fn oracle_tables(g: &OperatorGp, target: f64, beta: f64) -> (Vec<f64>, Vec<f64>) {
+        let mut oracle = dragster_gp::GpRegressor::new(*g.kernel(), g.cfg.noise_var);
+        for &(t, c) in g.history() {
+            oracle
+                .observe(&[t as f64], c / g.scale() - g.prior(t))
+                .unwrap();
+        }
+        let prior_step = 1.0 / (g.cfg.max_tasks as f64 * 1.25);
+        let yt = target / g.scale();
+        (1..=g.cfg.max_tasks)
+            .map(|x| {
+                let p = oracle.posterior(&[x as f64]);
+                let estimate = (p.mean + g.prior(x)) * g.scale();
+                let diff = p.mean + x as f64 * prior_step - yt;
+                let penalty = if diff >= 0.0 {
+                    diff
+                } else {
+                    -diff * g.cfg.deficit_weight
+                };
+                (estimate, -penalty + beta * p.var)
             })
-        };
-        let mut cached = mk(true);
-        let mut naive = mk(false);
+            .unzip()
+    }
+
+    #[test]
+    fn grid_model_matches_the_exact_regressor_bit_for_bit() {
+        // After every sample — including scale growth (the first samples
+        // imply a tiny scale, later ones 50× larger) and the kernel swaps
+        // of periodic hyper-parameter refits — the grid model's estimates
+        // and acquisition table equal the plain regressor's bit for bit.
+        let mut g = OperatorGp::new(UcbConfig {
+            noise_var: 1e-3,
+            hyper_refit_every: Some(5),
+            ..Default::default()
+        });
         let mut state = 0x243F_6A88_85A3_08D3u64;
         let mut next = move || {
             state ^= state >> 12;
@@ -616,26 +614,24 @@ mod tests {
             state ^= state >> 27;
             state.wrapping_mul(0x2545_F491_4F6C_DD1D)
         };
-        for i in 0..40usize {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut swaps, mut rescales) = (0, 0);
+        for i in 0..60usize {
             let tasks = usize::try_from(next() % 10 + 1).unwrap();
             let boost = if i < 3 { 1.0 } else { 50.0 };
             let cap = boost * tasks as f64 * (80.0 + (next() % 40) as f64);
-            cached.observe(tasks, cap).unwrap();
-            naive.observe(tasks, cap).unwrap();
-            assert_eq!(cached.scale().to_bits(), naive.scale().to_bits());
-            let tc = cached.acquisition_table(cap * 1.1, 0.7);
-            let tn = naive.acquisition_table(cap * 1.1, 0.7);
-            for (a, b) in tc.iter().zip(tn.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "slot {i}: {a} vs {b}");
-            }
-            for t in 1..=10usize {
-                assert_eq!(
-                    cached.capacity_estimate(t).to_bits(),
-                    naive.capacity_estimate(t).to_bits(),
-                    "slot {i} tasks {t}"
-                );
-            }
+            let (kernel, scale) = (*g.kernel(), g.scale());
+            g.observe(tasks, cap).unwrap();
+            swaps += usize::from(*g.kernel() != kernel);
+            rescales += usize::from(g.scale().to_bits() != scale.to_bits());
+            let (estimates, table) = oracle_tables(&g, cap * 1.1, 0.7);
+            let live: Vec<f64> = (1..=10).map(|t| g.capacity_estimate(t)).collect();
+            assert_eq!(bits(&live), bits(&estimates), "sample {i}: estimates");
+            let live = g.acquisition_table(cap * 1.1, 0.7);
+            assert_eq!(bits(&live), bits(&table), "sample {i}: acquisition");
         }
+        assert!(swaps > 0, "the stream never swapped kernels");
+        assert!(rescales > 1, "the stream never refit the scale");
     }
 
     #[test]

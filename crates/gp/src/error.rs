@@ -3,15 +3,17 @@
 use crate::linalg::NotPositiveDefinite;
 use std::fmt;
 
-/// Numeric failures in GP regression. Today the only failure mode is a
-/// Cholesky factorization losing positive-definiteness (degenerate kernel
-/// matrix, duplicated points with zero noise, NaN inputs); a dedicated enum
-/// keeps call sites stable as further modes appear.
+/// Failures in GP regression: a Cholesky factorization losing
+/// positive-definiteness (degenerate kernel matrix, duplicated points with
+/// zero noise, NaN inputs), or a grid observation off its grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GpError {
     /// `K + σ²I` (or a posterior covariance) stopped being positive
     /// definite at the given pivot.
     NotPositiveDefinite { pivot: usize },
+    /// A [`crate::GridGp`] observation named grid index `index` of a grid
+    /// with `points` points.
+    OffGrid { index: usize, points: usize },
 }
 
 impl fmt::Display for GpError {
@@ -19,6 +21,9 @@ impl fmt::Display for GpError {
         match self {
             GpError::NotPositiveDefinite { pivot } => {
                 write!(f, "kernel matrix not positive definite at pivot {pivot}")
+            }
+            GpError::OffGrid { index, points } => {
+                write!(f, "grid index {index} outside a grid of {points} points")
             }
         }
     }

@@ -21,22 +21,27 @@
 //! * [`kernel`] — squared-exponential (the paper's choice), Matérn-5/2,
 //!   linear, white-noise and constant kernels plus sum/product/scale
 //!   combinators.
-//! * [`regression`] — the exact GP posterior, log marginal likelihood, and a
-//!   small grid-search hyper-parameter fitter.
+//! * [`regression`] — the exact GP posterior and log marginal likelihood
+//!   over any input space.
+//! * [`grid`] — the same posterior over a fixed 1-D grid in O(n·K) memory
+//!   (the operator models' task grid), and a small grid-search
+//!   hyper-parameter fitter.
 //! * [`info_gain`] — information-gain accounting `I(c_A; y) = ½ log det(I +
 //!   σ⁻² K_A)` and the `Γ_T`/`β_t` schedules appearing in Theorem 1.
 
 pub mod error;
+pub mod grid;
 pub mod info_gain;
 pub mod kernel;
 pub mod linalg;
 pub mod regression;
 
 pub use error::GpError;
+pub use grid::{GpHyperFit, GridGp};
 pub use info_gain::{beta_t, information_gain, se_gamma_bound};
 pub use kernel::{
     ConstantKernel, Kernel, LinearKernel, Matern52, ProductKernel, ScaledKernel, SquaredExp,
     SumKernel, WhiteKernel,
 };
 pub use linalg::{Cholesky, Matrix};
-pub use regression::{GpHyperFit, GpPosterior, GpRegressor, GridCache};
+pub use regression::{GpPosterior, GpRegressor};

@@ -6,9 +6,7 @@
 //! [`Matrix`], a packed lower-triangular [`Cholesky`] factorization with
 //! forward/backward substitution, and an *incremental* factor extension so
 //! the online setting (one new observation per decision slot) costs O(t²)
-//! per update rather than O(t³) — or O(t), via
-//! [`Cholesky::extend_with_solved`], when the caller already holds the
-//! solved new column (the grid cache in the regression layer does).
+//! per update rather than O(t³).
 //!
 //! No external linear-algebra crate is used; the sizes involved (t ≤ a few
 //! thousand observations, d ≤ 3 input dimensions) make a cache-friendly
@@ -238,7 +236,7 @@ impl Cholesky {
     /// Borrow packed row `i` of the factor: the entries `L[i][0..=i]`.
     /// Row `t` after an [`Cholesky::extend`] is exactly the data an
     /// incremental forward-substitution needs to append one entry to a
-    /// previously solved system (see `GridCache` in the regression layer).
+    /// previously solved system.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
         debug_assert!(i < self.n);
@@ -269,27 +267,14 @@ impl Cholesky {
     /// `b` is the new column (length = current order), `c` the new
     /// diagonal entry.
     pub fn extend(&mut self, b: &[f64], c: f64) -> Result<(), NotPositiveDefinite> {
-        assert_eq!(b.len(), self.n, "new column has wrong length");
-        let w = self.solve_lower(b);
-        self.extend_with_solved(&w, c)
-    }
-
-    /// Extend with the triangular solve already done: `w = L⁻¹ b` for the
-    /// new column `b`. This is the fast path for callers that maintain
-    /// solved columns incrementally (the grid cache): appending the new
-    /// factor row then costs O(n) instead of the O(n²) re-solve.
-    ///
-    /// The pivot is computed with the exact expression [`Cholesky::extend`]
-    /// uses, so the two entry points produce bit-identical factors given
-    /// bit-identical `w`.
-    pub fn extend_with_solved(&mut self, w: &[f64], c: f64) -> Result<(), NotPositiveDefinite> {
         let n = self.n;
-        assert_eq!(w.len(), n, "solved column has wrong length");
+        assert_eq!(b.len(), n, "new column has wrong length");
+        let w = self.solve_lower(b);
         let pivot2 = c - w.iter().map(|x| x * x).sum::<f64>();
         if pivot2 <= 0.0 {
             return Err(NotPositiveDefinite { pivot: n });
         }
-        self.data.extend_from_slice(w);
+        self.data.extend_from_slice(&w);
         self.data.push(pivot2.sqrt());
         self.n = n + 1;
         Ok(())
@@ -438,24 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_with_solved_matches_extend_bitwise() {
-        let a = spd3();
-        let mut plain = Cholesky::empty();
-        let mut fast = Cholesky::empty();
-        for i in 0..3 {
-            let b: Vec<f64> = (0..i).map(|j| a[(i, j)]).collect();
-            plain.extend(&b, a[(i, i)]).unwrap();
-            let w = fast.solve_lower(&b);
-            fast.extend_with_solved(&w, a[(i, i)]).unwrap();
-        }
-        for i in 0..3 {
-            for j in 0..=i {
-                assert_eq!(plain.at(i, j).to_bits(), fast.at(i, j).to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn packed_rows_and_entries() {
         let ch = Cholesky::factor(&spd3()).unwrap();
         let l = ch.factor_matrix();
@@ -487,10 +454,10 @@ mod tests {
     }
 
     #[test]
-    fn extend_with_solved_rejects_bad_pivot() {
+    fn extend_rejects_bad_pivot() {
         let mut ch = Cholesky::factor(&spd3()).unwrap();
-        let w = vec![10.0, 10.0, 10.0];
-        assert!(ch.extend_with_solved(&w, 1.0).is_err());
+        let b = vec![10.0, 10.0, 10.0];
+        assert!(ch.extend(&b, 1.0).is_err());
         assert_eq!(ch.order(), 3); // untouched on error
     }
 

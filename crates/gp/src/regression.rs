@@ -1,21 +1,17 @@
 //! Exact Gaussian-process regression (Eq. 17 of the paper).
 //!
 //! A [`GpRegressor`] owns a kernel, a noise variance σ², a constant prior
-//! mean, and the observation history `(x_t, c_t)`. After each new
-//! observation the Cholesky factor of `K_t + σ² I` is *extended* in O(t²)
-//! ([`crate::linalg::Cholesky::extend`]), which is what makes the online
-//! setting (one observation per 10-minute decision slot, hundreds of slots)
-//! cheap.
+//! mean, and the observation history `(x_t, c_t)` over any input space.
+//! After each new observation the Cholesky factor of `K_t + σ² I` is
+//! *extended* in O(t²) ([`crate::linalg::Cholesky::extend`]).
 //!
 //! Both posterior moments are computed from the *same* triangular solve
 //! `v = L⁻¹ k_x`: with `w = L⁻¹ (y − m)` maintained incrementally,
-//! `μ = m + vᵀw` and `σ² = k(x,x) − vᵀv`. Queries on a **fixed grid** (the
-//! acquisition grid of the UCB layer is always `1..=K`) can skip the solve
-//! entirely: a [`GridCache`] keeps the solved column `L⁻¹ K(X, g)` per grid
-//! point and extends it by one entry per observation — the
-//! forward-substitution prefix property guarantees existing entries never
-//! change — so a full-grid posterior costs O(t·G) per slot instead of
-//! O(t²·G), and is bit-identical to the uncached path.
+//! `μ = m + vᵀw` and `σ² = k(x,x) − vᵀv`.
+//!
+//! The controller's capacity models live on a finite task grid and use
+//! [`crate::GridGp`], which computes the same posterior bit for bit in
+//! O(n·K) memory; this regressor is the general form and its test oracle.
 
 #![expect(
     clippy::indexing_slicing,
@@ -69,51 +65,12 @@ pub struct GpRegressor<K: Kernel> {
     noise_var: f64,
     prior_mean: f64,
     xs: Vec<Vec<f64>>,
-    /// Centered targets `c_t − prior_mean`.
-    ys_centered: Vec<f64>,
     chol: Cholesky,
     /// `w = L⁻¹ (y − m)` for the current factor. Append-only: extending
     /// the factor appends one entry and never changes existing ones
     /// (forward-substitution prefix property), so maintaining it costs
     /// O(t) per observation.
     wy: Vec<f64>,
-    /// Fixed-grid posterior cache (attached via
-    /// [`GpRegressor::set_grid`]), serving O(t) grid queries.
-    grid: Option<GridCache>,
-}
-
-/// Incrementally maintained posterior cache for a *fixed* query grid.
-///
-/// Per grid point `g` it holds the cross-covariance column
-/// `kg[g][i] = k(x_i, g)` and the solved column `vg[g] = L⁻¹ kg[g]`
-/// against the regressor's incremental Cholesky factor, plus the prior
-/// diagonal `k(g, g)`. Each [`GpRegressor::observe`] appends exactly one
-/// entry to every column in O(t·G); no entry is ever rewritten, so cached
-/// grid posteriors are bit-identical to [`GpRegressor::posterior`] at the
-/// same point. The cache is an opaque token outside the regression layer —
-/// move it between regressors with [`GpRegressor::take_grid`] /
-/// [`GpRegressor::install_grid`] to reuse its allocations across refits.
-pub struct GridCache {
-    /// The fixed query points.
-    pts: Vec<Vec<f64>>,
-    /// `k(g, g)` per grid point, under the owning regressor's kernel.
-    diag: Vec<f64>,
-    /// Cross-covariance columns `K(X, g)`.
-    kg: Vec<Vec<f64>>,
-    /// Solved columns `L⁻¹ K(X, g)`.
-    vg: Vec<Vec<f64>>,
-}
-
-impl GridCache {
-    /// Index of the grid point bit-identical to `x`, if any.
-    fn find(&self, x: &[f64]) -> Option<usize> {
-        self.pts.iter().position(|p| {
-            p.len() == x.len()
-                && p.iter()
-                    .zip(x.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
-        })
-    }
 }
 
 impl<K: Kernel> GpRegressor<K> {
@@ -129,10 +86,8 @@ impl<K: Kernel> GpRegressor<K> {
             noise_var,
             prior_mean: 0.0,
             xs: Vec::new(),
-            ys_centered: Vec::new(),
             chol: Cholesky::empty(),
             wy: Vec::new(),
-            grid: None,
         }
     }
 
@@ -174,9 +129,7 @@ impl<K: Kernel> GpRegressor<K> {
     }
 
     /// Add one observation `(x, c)` where `c = y(x) + ε` and refresh the
-    /// factorization incrementally — O(t²) in general, O(t·G) when `x`
-    /// bit-equals a cached grid point (the solved column the extension
-    /// needs is then already in the cache).
+    /// factorization incrementally in O(t²).
     ///
     /// # Errors
     /// [`GpError::NotPositiveDefinite`] if extending the factor of
@@ -186,39 +139,17 @@ impl<K: Kernel> GpRegressor<K> {
     pub fn observe(&mut self, x: &[f64], c: f64) -> Result<(), GpError> {
         let t = self.xs.len();
         let diag = self.kernel.diag(x) + self.noise_var;
-        // Fast path: if `x` bit-equals a grid point, the cached solved
-        // column *is* `L⁻¹ b` for the new Gram column `b` (same kernel
-        // evaluations, same forward substitution), so the factor extends
-        // in O(t) with no re-solve and a bit-identical result.
-        let hit = self.grid.as_ref().and_then(|g| g.find(x));
-        if let (Some(gi), Some(g)) = (hit, self.grid.as_ref()) {
-            self.chol.extend_with_solved(&g.vg[gi], diag)?;
-        } else {
-            let b: Vec<f64> = self.xs.iter().map(|xi| self.kernel.eval(xi, x)).collect();
-            self.chol.extend(&b, diag)?;
-        }
+        let b: Vec<f64> = self.xs.iter().map(|xi| self.kernel.eval(xi, x)).collect();
+        self.chol.extend(&b, diag)?;
         self.xs.push(x.to_vec());
-        self.ys_centered.push(c - self.prior_mean);
-        // `w = L⁻¹(y − m)` and every cached grid column gain one entry
-        // from the new factor row; existing entries are untouched
-        // (forward-substitution prefix property), so each append is O(t).
+        // `w = L⁻¹(y − m)` gains one entry from the new factor row; existing
+        // entries are untouched (forward-substitution prefix property).
         let row = self.chol.row(t);
         let mut s = c - self.prior_mean;
         for (lk, wk) in row.iter().zip(self.wy.iter()) {
             s -= lk * wk;
         }
         self.wy.push(s / row[t]);
-        if let Some(g) = self.grid.as_mut() {
-            for ((pt, kcol), vcol) in g.pts.iter().zip(g.kg.iter_mut()).zip(g.vg.iter_mut()) {
-                let kxg = self.kernel.eval(x, pt);
-                let mut s = kxg;
-                for (lk, vk) in row.iter().zip(vcol.iter()) {
-                    s -= lk * vk;
-                }
-                kcol.push(kxg);
-                vcol.push(s / row[t]);
-            }
-        }
         Ok(())
     }
 
@@ -239,27 +170,6 @@ impl<K: Kernel> GpRegressor<K> {
         let mean = self.prior_mean + dot(&v, &self.wy);
         let var = (self.kernel.diag(x) - dot(&v, &v)).max(0.0);
         GpPosterior { mean, var }
-    }
-
-    /// Posterior at grid point `gi` of the attached grid, served from the
-    /// cached solved column in O(t) — bit-identical to
-    /// [`GpRegressor::posterior`] at the same point (the final dot
-    /// products run over cached columns whose entries match the uncached
-    /// solve exactly). `None` when no grid is attached or `gi` is out of
-    /// range.
-    pub fn posterior_grid(&self, gi: usize) -> Option<GpPosterior> {
-        let g = self.grid.as_ref()?;
-        let diag = *g.diag.get(gi)?;
-        if self.xs.is_empty() {
-            return Some(GpPosterior {
-                mean: self.prior_mean,
-                var: diag.max(0.0),
-            });
-        }
-        let v = g.vg.get(gi)?;
-        let mean = self.prior_mean + dot(v, &self.wy);
-        let var = (diag - dot(v, v)).max(0.0);
-        Some(GpPosterior { mean, var })
     }
 
     /// Posterior at many points, sharing one `(k_x, v)` workspace across
@@ -337,21 +247,10 @@ impl<K: Kernel> GpRegressor<K> {
     pub fn sample_posterior(
         &self,
         xs: &[Vec<f64>],
-        mut normals: impl FnMut() -> f64,
+        normals: impl FnMut() -> f64,
     ) -> Result<Vec<f64>, GpError> {
-        let n = xs.len();
         let (mean, cov) = self.posterior_joint(xs);
-        let chol = crate::linalg::Cholesky::factor(&cov)?;
-        let z: Vec<f64> = (0..n).map(|_| normals()).collect();
-        Ok((0..n)
-            .map(|i| {
-                let mut v = mean[i];
-                for (lik, zk) in chol.row(i).iter().zip(z.iter()) {
-                    v += lik * zk;
-                }
-                v
-            })
-            .collect())
+        sample_gaussian(&mean, &cov, normals)
     }
 
     /// Log marginal likelihood of the observed data:
@@ -368,140 +267,35 @@ impl<K: Kernel> GpRegressor<K> {
         fit + complexity + norm
     }
 
-    /// Drop all observations, keeping kernel, noise settings, and the
-    /// attached grid (its columns are truncated back to empty but the
-    /// allocations and prior diagonal survive).
+    /// Drop all observations, keeping kernel and noise settings.
     pub fn reset(&mut self) {
         self.xs.clear();
-        self.ys_centered.clear();
         self.wy.clear();
         self.chol.clear();
-        if let Some(g) = self.grid.as_mut() {
-            for col in g.kg.iter_mut() {
-                col.clear();
-            }
-            for col in g.vg.iter_mut() {
-                col.clear();
-            }
-        }
-    }
-
-    /// Attach a fixed query grid, replacing any existing cache. The cache
-    /// is populated from the current history (O(t²·G) once; every later
-    /// [`GpRegressor::observe`] maintains it in O(t·G)).
-    pub fn set_grid(&mut self, pts: Vec<Vec<f64>>) {
-        let n = pts.len();
-        self.grid = Some(GridCache {
-            diag: pts.iter().map(|p| self.kernel.diag(p)).collect(),
-            kg: vec![Vec::new(); n],
-            vg: vec![Vec::new(); n],
-            pts,
-        });
-        self.rebuild_grid();
-    }
-
-    /// Detach the grid cache, e.g. to carry it to a replacement regressor
-    /// across a hyper-parameter refit without reallocating.
-    pub fn take_grid(&mut self) -> Option<GridCache> {
-        self.grid.take()
-    }
-
-    /// Re-attach a cache detached with [`GpRegressor::take_grid`],
-    /// refreshing its prior diagonal under this regressor's kernel and
-    /// rebuilding its columns against this regressor's history.
-    pub fn install_grid(&mut self, mut cache: GridCache) {
-        cache.diag.clear();
-        cache
-            .diag
-            .extend(cache.pts.iter().map(|p| self.kernel.diag(p)));
-        self.grid = Some(cache);
-        self.rebuild_grid();
-    }
-
-    /// The attached grid's query points, if any.
-    pub fn grid_points(&self) -> Option<&[Vec<f64>]> {
-        self.grid.as_ref().map(|g| g.pts.as_slice())
-    }
-
-    /// Recompute every cached column against the current kernel, history,
-    /// and factor. Columns are rebuilt in place, reusing their buffers.
-    fn rebuild_grid(&mut self) {
-        let Some(g) = self.grid.as_mut() else {
-            return;
-        };
-        for ((pt, kcol), vcol) in g.pts.iter().zip(g.kg.iter_mut()).zip(g.vg.iter_mut()) {
-            kcol.clear();
-            kcol.extend(self.xs.iter().map(|xi| self.kernel.eval(xi, pt)));
-            self.chol.solve_lower_into(kcol, vcol);
-        }
     }
 }
 
-/// Grid-search hyper-parameter fitting for the squared-exponential kernel:
-/// pick `(length_scale, signal_var)` maximizing the log marginal likelihood
-/// on a fixed dataset. This mirrors what `sklearn` does with its L-BFGS
-/// restarts, at the fidelity the 10-point-per-dimension config grids of the
-/// paper need.
-pub struct GpHyperFit {
-    /// Candidate length scales.
-    pub length_scales: Vec<f64>,
-    /// Candidate signal variances.
-    pub signal_vars: Vec<f64>,
-}
-
-impl Default for GpHyperFit {
-    fn default() -> Self {
-        GpHyperFit {
-            length_scales: vec![0.5, 1.0, 2.0, 3.0, 5.0],
-            signal_vars: vec![0.25, 1.0, 4.0, 16.0],
-        }
-    }
-}
-
-impl GpHyperFit {
-    /// Fit on `(xs, cs)` with the given noise variance; returns the best
-    /// `(length_scale, signal_var, lml)`.
-    ///
-    /// Candidate hyper-parameter settings whose Gram matrix turns out
-    /// numerically indefinite are skipped rather than aborting the grid
-    /// search.
-    ///
-    /// # Errors
-    /// [`GpError::NotPositiveDefinite`] if *every* candidate fails — the
-    /// data itself is degenerate (NaNs, or exact duplicates with zero
-    /// noise).
-    pub fn fit_se(
-        &self,
-        xs: &[Vec<f64>],
-        cs: &[f64],
-        noise_var: f64,
-    ) -> Result<(f64, f64, f64), GpError> {
-        assert_eq!(xs.len(), cs.len());
-        let mut best: Option<(f64, f64, f64)> = None;
-        let mut last_err = GpError::NotPositiveDefinite { pivot: 0 };
-        for &l in &self.length_scales {
-            for &s in &self.signal_vars {
-                let mut gp =
-                    GpRegressor::new(crate::kernel::SquaredExp::with_signal(l, s), noise_var);
-                let mut ok = true;
-                for (x, &c) in xs.iter().zip(cs.iter()) {
-                    if let Err(e) = gp.observe(x, c) {
-                        last_err = e;
-                        ok = false;
-                        break;
-                    }
-                }
-                if !ok {
-                    continue;
-                }
-                let lml = gp.log_marginal_likelihood();
-                if best.is_none_or(|b| lml > b.2) {
-                    best = Some((l, s, lml));
-                }
+/// One draw from `N(mean, cov)`: `mean + L z` for the Cholesky factor `L`
+/// of `cov` and `z` taken from `normals` (one variate per dimension, in
+/// order).
+pub(crate) fn sample_gaussian(
+    mean: &[f64],
+    cov: &crate::linalg::Matrix,
+    mut normals: impl FnMut() -> f64,
+) -> Result<Vec<f64>, GpError> {
+    let chol = crate::linalg::Cholesky::factor(cov)?;
+    let z: Vec<f64> = mean.iter().map(|_| normals()).collect();
+    Ok(mean
+        .iter()
+        .enumerate()
+        .map(|(i, &m)| {
+            let mut v = m;
+            for (lik, zk) in chol.row(i).iter().zip(z.iter()) {
+                v += lik * zk;
             }
-        }
-        best.ok_or(last_err)
-    }
+            v
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -610,17 +404,6 @@ mod tests {
             wiggly.observe(x, c).unwrap();
         }
         assert!(smooth.log_marginal_likelihood() > wiggly.log_marginal_likelihood());
-    }
-
-    #[test]
-    fn hyper_fit_runs_and_picks_reasonable_scale() {
-        let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64 * 0.3]).collect();
-        let cs: Vec<f64> = xs.iter().map(|x| (x[0] * 0.4).sin() * 2.0).collect();
-        let fit = GpHyperFit::default();
-        let (l, s, lml) = fit.fit_se(&xs, &cs, 1e-4).unwrap();
-        assert!(l >= 0.5, "picked degenerate length scale {l}");
-        assert!(s > 0.0);
-        assert!(lml.is_finite());
     }
 
     #[test]

@@ -118,9 +118,9 @@ impl DomainsTable {
 /// must stay inside `required`. The key is a `::`-path; the last segment
 /// may name a *binding* inside the function (`SaddleState::dual_update::
 /// lam`), and the whole key is also tried as a function pattern whose
-/// return interval is checked (scalar-returning functions only — the
-/// workspace's `project_to_budget` returns a `Feasible`, which only the
-/// projection builds, so its type carries that postcondition instead).
+/// return interval is checked (scalar-returning functions only; a
+/// postcondition on a struct belongs in its type, as `Feasible` carries
+/// Eq. 18's budget box).
 #[derive(Clone, Debug)]
 pub struct Contract {
     /// The key as written (for messages and allowlisting).
@@ -156,8 +156,8 @@ impl Contract {
 
 /// A contract key as a path pattern: `::`-separated segments matched as
 /// a suffix of an item's qualified path (`crate::module::Owner::fn`),
-/// where a `*` segment matches any one segment. `GpRegressor::posterior`
-/// therefore matches `gp::regression::GpRegressor::posterior`.
+/// where a `*` segment matches any one segment. `GridGp::*` therefore
+/// matches `gp::grid::GridGp::posterior` and every other `GridGp` method.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct Pattern {
     segs: Vec<String>,
@@ -196,16 +196,13 @@ impl Pattern {
 
 /// Compiled-in contracts, mirrored by `[contracts]` in `lint.toml`: the
 /// paper's Theorem-1 preconditions that are locally provable.
-pub fn default_contracts(domains: &DomainsTable) -> Vec<Contract> {
-    let budget_hi = domains.exact("budget").map_or(1e9, |iv| iv.hi);
+pub fn default_contracts() -> Vec<Contract> {
     let mut out = Vec::new();
     for (key, lo, hi) in [
-        // Eq. 18: the projected decision lands in the budget box.
-        ("project_to_budget", 0.0, budget_hi),
         // Eq. 15: dual variables stay nonnegative.
         ("SaddleState::dual_update::lam", 0.0, f64::INFINITY),
         // Eq. 17: the GP posterior variance is nonnegative.
-        ("GpRegressor::posterior::var", 0.0, f64::INFINITY),
+        ("GridGp::*::var", 0.0, f64::INFINITY),
     ] {
         if let Ok(c) = Contract::new(key, Interval::range(lo, hi)) {
             out.push(c);
@@ -223,9 +220,10 @@ pub struct AbsintConfig {
 
 impl Default for AbsintConfig {
     fn default() -> Self {
-        let domains = DomainsTable::defaults();
-        let contracts = default_contracts(&domains);
-        AbsintConfig { domains, contracts }
+        AbsintConfig {
+            domains: DomainsTable::defaults(),
+            contracts: default_contracts(),
+        }
     }
 }
 
@@ -2707,6 +2705,9 @@ mod tests {
         assert!(w.matches_qualified("core::saddle::SaddleState::dual_update"));
         let bare = Pattern::parse("project_to_budget").expect("parses");
         assert!(bare.matches_qualified("sim::cluster::project_to_budget"));
+        let methods = Pattern::parse("GridGp::*").expect("parses");
+        assert!(methods.matches_qualified("gp::grid::GridGp::grid_posterior"));
+        assert!(!methods.matches_qualified("gp::regression::GpRegressor::posterior"));
     }
 
     #[test]
@@ -2812,18 +2813,39 @@ mod tests {
         assert!(s.int);
     }
 
+    /// `src` under one fn-level contract: `clamp_to_budget` returns a value
+    /// in `[0, budget]`, the `budget` domain's upper end.
+    fn analyze_fn_contract(src: &str) -> AbsintOutcome {
+        let budget = DomainsTable::defaults()
+            .exact("budget")
+            .map_or(1e9, |iv| iv.hi);
+        let cfg = AbsintConfig {
+            contracts: vec![
+                Contract::new("clamp_to_budget", Interval::range(0.0, budget))
+                    .unwrap_or_else(|e| panic!("{e}")),
+            ],
+            ..AbsintConfig::default()
+        };
+        let model = Model::build(vec![(
+            "test.rs".to_string(),
+            "fixture".to_string(),
+            crate::prep::prepare(src),
+        )]);
+        interval_analysis(&model, &cfg)
+    }
+
     #[test]
     fn fn_contract_violation_is_l15() {
-        let out = analyze("pub fn project_to_budget(x: f64, budget: f64) -> f64 { x }\n");
+        let out = analyze_fn_contract("pub fn clamp_to_budget(x: f64, budget: f64) -> f64 { x }\n");
         assert_eq!(out.findings.len(), 1, "{:?}", out.findings);
         assert_eq!(out.findings[0].code, "L15");
-        assert!(out.findings[0].message.contains("project_to_budget"));
+        assert!(out.findings[0].message.contains("clamp_to_budget"));
     }
 
     #[test]
     fn fn_contract_satisfied_by_clamp() {
-        let out = analyze(
-            "pub fn project_to_budget(x: f64, budget: f64) -> f64 { x.clamp(0.0, budget) }\n",
+        let out = analyze_fn_contract(
+            "pub fn clamp_to_budget(x: f64, budget: f64) -> f64 { x.clamp(0.0, budget) }\n",
         );
         assert!(out.findings.is_empty(), "{:?}", out.findings);
     }

@@ -24,8 +24,8 @@
 //!   finite, NaN-free, and inside the target range; integer arithmetic
 //!   on domain-bounded counters must be proven overflow-free.
 //! * **L15 — controller contracts.** A `[contracts]` table declares
-//!   required output intervals (`project_to_budget -> [0, budget]`,
-//!   dual update `lam -> [0, +inf]`, GP posterior `var -> [0, +inf]`);
+//!   required output intervals (dual update `lam -> [0, +inf]`, every
+//!   `GridGp` posterior `var -> [0, +inf]`);
 //!   computed summaries/bindings that violate them are reported with
 //!   the full derivation chain. Input assumptions come from the
 //!   `[domains]` table (identifier-suffix → range, L7's binding rule).
@@ -784,9 +784,9 @@ pub fn parse_config(text: &str) -> Result<LintConfig, String> {
             MAX_ALLOW_ENTRIES
         ));
     }
-    // Contracts: compiled-in defaults (re-derived against the possibly
-    // overridden domains), then file entries override by key or extend.
-    let mut contracts = absint::default_contracts(&domains);
+    // Contracts: compiled-in defaults, then file entries override by key
+    // or extend.
+    let mut contracts = absint::default_contracts();
     for (key, lo_s, hi_s, ln) in contract_raw {
         let lo = parse_contract_bound(&lo_s, &domains, false)
             .map_err(|e| format!("lint.toml:{ln}: {e}"))?;

@@ -148,7 +148,7 @@ fn l15_violated_posterior_contract_triggers_exactly_l15() {
     assert_findings("l15_contract_pos.rs", &findings, "L15", 1);
     let f = &findings[0];
     assert!(
-        f.message.contains("GpRegressor::posterior::var"),
+        f.message.contains("GridGp::*::var"),
         "the finding must name the violated contract: {}",
         f.message
     );

@@ -7,11 +7,11 @@ pub struct GpPosterior {
     pub var: f64,
 }
 
-pub struct GpRegressor {
+pub struct GridGp {
     pub prior: f64,
 }
 
-impl GpRegressor {
+impl GridGp {
     pub fn posterior(&self, k_xx: f64, explained: f64) -> GpPosterior {
         GpPosterior {
             mean: self.prior,

@@ -1,4 +1,4 @@
-//! L15 positive: the GP-posterior contract (`GpRegressor::posterior::var`
+//! L15 positive: the GP-posterior contract (`GridGp::*::var`
 //! = [0, +inf]) demands a nonnegative variance, but the computed field
 //! interval extends below zero (and may be NaN).
 
@@ -7,11 +7,11 @@ pub struct GpPosterior {
     pub var: f64,
 }
 
-pub struct GpRegressor {
+pub struct GridGp {
     pub prior: f64,
 }
 
-impl GpRegressor {
+impl GridGp {
     pub fn posterior(&self, k_xx: f64, explained: f64) -> GpPosterior {
         GpPosterior {
             mean: self.prior,

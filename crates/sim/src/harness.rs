@@ -528,30 +528,30 @@ pub fn run_experiment_recoverable(
     opts: ExperimentOptions,
     rec: RecoveryOptions,
 ) -> Result<Trace, SimError> {
-    slot_loop(sim, scaler, arrivals, slots, opts, Some(rec))
+    let mut durable = Durable::new(sim, rec);
+    slot_loop(sim, scaler, arrivals, slots, opts, Some(&mut durable))
 }
 
-/// The slot loop behind both entry points. `rec` switches the durability
-/// layer ([`Durable`]) on; without it nothing is journaled or
-/// checkpointed, no control-plane fault fires, and the raw snapshot is
-/// sanitized without a copy.
+/// The slot loop behind both entry points. `durable` switches the
+/// durability layer on; without it nothing is journaled or checkpointed,
+/// no control-plane fault fires, and the raw snapshot is sanitized without
+/// a copy.
 fn slot_loop(
     sim: &mut FluidSim,
     scaler: &mut dyn Autoscaler,
     arrivals: &mut dyn ArrivalProcess,
     slots: usize,
     opts: ExperimentOptions,
-    rec: Option<RecoveryOptions>,
+    mut durable: Option<&mut Durable>,
 ) -> Result<Trace, SimError> {
     let mut trace = Trace {
         scheme: scaler.name(),
         ..Default::default()
     };
     let mut state = HarnessState::new(opts.sanitize);
-    let mut durable = rec.map(|rec| Durable::new(sim, rec));
     for t in 0..slots {
         // -- control plane: faults fire at the top of the slot ------------
-        let cf = match durable.as_mut() {
+        let cf = match durable.as_deref_mut() {
             Some(d) => d.control_plane(t, scaler, &mut state, &mut trace, &opts, sim.cluster())?,
             None => ControllerFault::default(),
         };
@@ -574,7 +574,10 @@ fn slot_loop(
         // re-warms on live metrics while its proposals are held back.
         let feasible = decide_feasible(scaler, t, &metrics, sim.deployment(), sim.cluster())?;
         let decided = durable.is_some().then(|| feasible.tasks.clone());
-        let outcome = if durable.as_ref().is_some_and(|d| d.fallback_until.is_some()) {
+        let outcome = if durable
+            .as_deref()
+            .is_some_and(|d| d.fallback_until.is_some())
+        {
             trace.fallback_slots += 1;
             ReconfigOutcome::Held
         } else if t >= state.retry.next_attempt {
@@ -596,7 +599,7 @@ fn slot_loop(
 
         // -- durability: journal the slot, checkpoint on cadence ----------
         if let (Some(d), Some(before), Some(raw), Some(decided)) =
-            (durable.as_mut(), before, raw, decided)
+            (durable.as_deref_mut(), before, raw, decided)
         {
             d.journal.append(&JournalRecord {
                 t,
@@ -618,6 +621,9 @@ fn slot_loop(
                         sanitizer: state.sanitizer.snapshot(),
                         retry: state.retry,
                     });
+                    // The store keeps only this checkpoint, and a restore
+                    // replays only the slots after it.
+                    d.journal.compact_through(t);
                 }
             }
         }
@@ -887,6 +893,47 @@ mod tests {
             operator: None,
             severity: 1.0,
             duration_slots: 1,
+        }
+    }
+
+    /// After every slot of a run with a checkpoint every `every` slots,
+    /// the journal holds only the records since the newest checkpoint —
+    /// never more than `every` — and a suppressed checkpoint drops nothing.
+    #[test]
+    fn journal_holds_only_the_records_since_the_newest_checkpoint() {
+        let stale = crate::faults::FaultPlan::none()
+            .with(scripted(5, crate::faults::FaultKind::CheckpointStale));
+        for every in [1, 4] {
+            let rec = RecoveryOptions {
+                checkpoint_every: every,
+                ..RecoveryOptions::default()
+            };
+            for slots in 1..=12 {
+                let mut sim = make_sim(None).with_faults(stale.clone());
+                let mut durable = Durable::new(&sim, rec);
+                let mut arr = ConstantArrival(vec![250.0]);
+                let opts = ExperimentOptions::default();
+                slot_loop(
+                    &mut sim,
+                    &mut GreedyUp,
+                    &mut arr,
+                    slots,
+                    opts,
+                    Some(&mut durable),
+                )
+                .unwrap();
+                let last = slots - 1;
+                let newest_checkpoint = match last / every * every {
+                    5 => 5 - every, // the stale slot wrote nothing
+                    c => c,
+                };
+                assert_eq!(
+                    durable.journal.len(),
+                    last - newest_checkpoint,
+                    "every {every}, after slot {last}"
+                );
+                assert!(durable.journal.len() <= every);
+            }
         }
     }
 

@@ -15,6 +15,12 @@
 //! ([`crate::checkpoint::seal`]); a torn or missing record is detected at
 //! replay time and routes recovery to the degraded fallback instead of
 //! silently replaying wrong history.
+//!
+//! The checkpoint store keeps only the newest checkpoint, and a restore
+//! replays only the slots after it, so the harness compacts the journal
+//! to the records after each checkpoint it writes
+//! ([`DecisionJournal::compact_through`]): its size is bounded by the
+//! checkpoint cadence, not by the horizon.
 
 use crate::checkpoint::{decode_slot_metrics, unseal, write_slot_metrics, CheckpointError};
 use crate::json::{self, Json};
@@ -68,8 +74,8 @@ pub struct JournalRecord {
 /// these route recovery to the degraded fallback.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JournalError {
-    /// A record failed its checksum or did not decode.
-    Corrupt { index: usize, detail: String },
+    /// The record for `slot` failed its checksum or did not decode.
+    Corrupt { slot: usize, detail: String },
     /// A slot in the requested range has no record.
     Gap { slot: usize },
 }
@@ -77,8 +83,8 @@ pub enum JournalError {
 impl std::fmt::Display for JournalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            JournalError::Corrupt { index, detail } => {
-                write!(f, "journal record {index} corrupt: {detail}")
+            JournalError::Corrupt { slot, detail } => {
+                write!(f, "journal record for slot {slot} corrupt: {detail}")
             }
             JournalError::Gap { slot } => {
                 write!(f, "journal has no record for slot {slot}")
@@ -159,7 +165,8 @@ impl JournalRecord {
 }
 
 /// The append-only journal. In-memory (the simulator's "durable" log) —
-/// one sealed line per slot, never rewritten.
+/// one sealed line per slot, never rewritten, dropped once a checkpoint
+/// covers it.
 #[derive(Clone, Debug, Default)]
 pub struct DecisionJournal {
     /// `(slot, sealed line)` pairs in append order: the slot is the
@@ -189,7 +196,7 @@ impl DecisionJournal {
         self.lines.push((record.t, line));
     }
 
-    /// Number of appended records.
+    /// Number of records held.
     pub fn len(&self) -> usize {
         self.lines.len()
     }
@@ -198,10 +205,18 @@ impl DecisionJournal {
         self.lines.is_empty()
     }
 
-    /// Chaos hook: tear the record at `index` (truncated tail, as a crash
-    /// mid-append would leave). No-op when out of range.
-    pub fn corrupt_record(&mut self, index: usize) {
-        if let Some((_, line)) = self.lines.get_mut(index) {
+    /// Drops every record at or before `slot`: the harness calls this once
+    /// the checkpoint of `slot` is written, since the store keeps only that
+    /// checkpoint and a restore replays only the slots after it.
+    pub fn compact_through(&mut self, slot: usize) {
+        self.lines.retain(|&(s, _)| s > slot);
+    }
+
+    /// Chaos hook: tear the record for `slot` (truncated tail, as a crash
+    /// mid-append would leave). No-op when the journal holds no such
+    /// record.
+    pub fn corrupt_record(&mut self, slot: usize) {
+        if let Some((_, line)) = self.lines.iter_mut().find(|(s, _)| *s == slot) {
             let keep = line.len() / 2;
             line.truncate(keep);
         }
@@ -224,7 +239,7 @@ impl DecisionJournal {
     ) -> Result<Vec<JournalRecord>, JournalError> {
         let mut by_slot: Vec<Option<JournalRecord>> = vec![None; to_slot.saturating_sub(from_slot)];
         let mut first_corrupt: Option<(usize, String)> = None;
-        for (index, (slot, line)) in self.lines.iter().enumerate() {
+        for (slot, line) in &self.lines {
             let Some(cell) = slot
                 .checked_sub(from_slot)
                 .and_then(|offset| by_slot.get_mut(offset))
@@ -245,7 +260,7 @@ impl DecisionJournal {
                 Ok(rec) => *cell = Some(rec),
                 Err(detail) => {
                     if first_corrupt.is_none() {
-                        first_corrupt = Some((index, detail));
+                        first_corrupt = Some((*slot, detail));
                     }
                 }
             }
@@ -258,7 +273,7 @@ impl DecisionJournal {
                     // Corruption is the actionable cause when present —
                     // the missing slot was likely inside the torn record.
                     return Err(match first_corrupt {
-                        Some((index, detail)) => JournalError::Corrupt { index, detail },
+                        Some((slot, detail)) => JournalError::Corrupt { slot, detail },
                         None => JournalError::Gap {
                             slot: from_slot + offset,
                         },
@@ -368,9 +383,35 @@ mod tests {
         }
         journal.corrupt_record(4);
         match journal.replay_range(2, 6) {
-            Err(JournalError::Corrupt { index: 4, .. }) => {}
+            Err(JournalError::Corrupt { slot: 4, .. }) => {}
             other => panic!("expected Corrupt at 4, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn compaction_keeps_only_the_records_after_the_slot() {
+        let mut journal = DecisionJournal::new();
+        for t in 0..6 {
+            journal.append(&record(t));
+        }
+        journal.compact_through(3);
+        assert_eq!(journal.len(), 2);
+        let recs = journal.replay_range(4, 6).expect("the suffix survives");
+        assert_eq!(recs.iter().map(|r| r.t).collect::<Vec<_>>(), vec![4, 5]);
+        // The chaos hook still finds a record by its slot after the
+        // indices moved, and a compacted slot is a gap.
+        journal.corrupt_record(5);
+        match journal.replay_range(4, 6) {
+            Err(JournalError::Corrupt { slot: 5, .. }) => {}
+            other => panic!("expected Corrupt at 5, got {other:?}"),
+        }
+        match journal.replay_range(3, 5) {
+            Err(JournalError::Gap { slot: 3 }) => {}
+            other => panic!("expected Gap at 3, got {other:?}"),
+        }
+        journal.corrupt_record(0); // compacted away: a no-op
+        journal.compact_through(9);
+        assert!(journal.is_empty());
     }
 
     #[test]
@@ -405,7 +446,7 @@ mod tests {
         journal.append(&record(0));
         journal.lines.push((1, record(5).encode()));
         match journal.replay_range(0, 2) {
-            Err(JournalError::Corrupt { index: 1, detail }) => {
+            Err(JournalError::Corrupt { slot: 1, detail }) => {
                 assert!(detail.contains("slot 5"), "{detail}")
             }
             other => panic!("expected Corrupt at 1, got {other:?}"),

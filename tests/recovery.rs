@@ -211,6 +211,68 @@ fn sparse_checkpoints_replay_journal_records_to_the_crash_point() {
     assert_data_plane_identical(&clean, &crashed, "sparse-checkpoint crash at slot 9");
 }
 
+/// Every recovery path under a 4-slot cadence, with the journal compacted
+/// to the records after each written checkpoint: restores replay exactly
+/// the slots since the newest checkpoint (a suppressed checkpoint leaves
+/// the previous one and its records in place), and a torn checkpoint
+/// degrades. The events are the ones the uncompacted journal produced.
+#[test]
+fn compacted_journal_keeps_restores_and_recovery_events() {
+    let fault = |slot, kind| ScriptedFault {
+        slot,
+        kind,
+        operator: None,
+        severity: 1.0,
+        duration_slots: 1,
+    };
+    let plan = crash_at(2)
+        .with(crash(7))
+        .with(fault(12, FaultKind::CheckpointStale))
+        .with(crash(13))
+        .with(fault(18, FaultKind::CheckpointCorrupt))
+        .with(crash(18));
+    let rec = RecoveryOptions {
+        checkpoint_every: 4,
+        rewarm_slots: 3,
+        ..Default::default()
+    };
+    let trace = run_recoverable(plan, SEED, 24, rec);
+    let restored = |checkpoint_slot, replayed_slots| RecoveryAction::Restored {
+        checkpoint_slot,
+        replayed_slots,
+    };
+    let events: Vec<(usize, RecoveryAction)> = trace
+        .recovery_events
+        .iter()
+        .map(|e| (e.slot, e.action))
+        .collect();
+    assert_eq!(
+        events,
+        vec![
+            (2, RecoveryAction::Crash),
+            (2, restored(0, 1)),
+            (7, RecoveryAction::Crash),
+            (7, restored(4, 2)),
+            (13, RecoveryAction::Crash),
+            (13, restored(8, 4)),
+            (18, RecoveryAction::Crash),
+            (
+                18,
+                RecoveryAction::Degraded {
+                    reason: DegradeReason::TornCheckpoint
+                }
+            ),
+            (21, RecoveryAction::Resumed),
+        ]
+    );
+    let clean = run_recoverable(FaultPlan::none(), SEED, 24, rec);
+    assert_eq!(
+        trace.deployments[..18],
+        clean.deployments[..18],
+        "the restores must rebuild the uninterrupted run"
+    );
+}
+
 #[test]
 fn torn_checkpoint_degrades_and_holds_the_deployment() {
     // Corrupt the newest checkpoint in the same slot the crash lands: the
@@ -380,10 +442,10 @@ fn journal_detects_corruption_and_gaps() {
     assert_eq!(records.len(), 5);
     assert_eq!(records[3].t, 3);
     assert_eq!(records[3].decided, vec![2, 2]);
-    // A flipped byte in record 2 is caught by its checksum.
+    // A torn record for slot 2 is caught by its checksum.
     journal.corrupt_record(2);
     match journal.replay_range(0, 5) {
-        Err(JournalError::Corrupt { index, .. }) => assert_eq!(index, 2),
+        Err(JournalError::Corrupt { slot, .. }) => assert_eq!(slot, 2),
         other => panic!("expected corrupt-record error, got {other:?}"),
     }
     // A missing slot is reported as a gap.
@@ -521,43 +583,39 @@ fn sample_stream(seed: u64, n: usize) -> Vec<(usize, f64)> {
 /// `OperatorGp::restore` equals the live model bit for bit after every
 /// sample, and a model restored mid-stream keeps equalling the live one —
 /// which `observe` built by replay — over the later samples, across scale
-/// refits and kernel swaps, for every refit cadence and both grid-cache
-/// settings.
+/// refits and kernel swaps, for every refit cadence.
 #[test]
 fn restored_gp_equals_live_and_replay_built_models() {
     const SAMPLES: usize = 100;
     const CARRY_FROM: usize = 30;
     for (seed, every) in [(11, Some(3)), (12, Some(5)), (13, Some(12)), (14, None)] {
-        for grid_cache in [true, false] {
-            let cfg = UcbConfig {
-                noise_var: 1e-3,
-                hyper_refit_every: every,
-                grid_cache,
-                ..Default::default()
-            };
-            let mut live = OperatorGp::new(cfg);
-            let mut carried: Option<OperatorGp> = None;
-            let mut swaps = 0;
-            for (i, (tasks, cap)) in sample_stream(seed, SAMPLES).into_iter().enumerate() {
-                let before = *live.kernel();
-                live.observe(tasks, cap).unwrap();
-                swaps += usize::from(*live.kernel() != before);
-                let ctx = format!("refit {every:?}, grid {grid_cache}, sample {i}");
-                assert_same_model(&live, &restore(&live, cfg), &ctx);
-                if let Some(c) = carried.as_mut() {
-                    c.observe(tasks, cap).unwrap();
-                    assert_same_model(&live, c, &format!("{ctx}, carried"));
-                }
-                if i + 1 == CARRY_FROM {
-                    carried = Some(restore(&live, cfg));
-                }
+        let cfg = UcbConfig {
+            noise_var: 1e-3,
+            hyper_refit_every: every,
+            ..Default::default()
+        };
+        let mut live = OperatorGp::new(cfg);
+        let mut carried: Option<OperatorGp> = None;
+        let mut swaps = 0;
+        for (i, (tasks, cap)) in sample_stream(seed, SAMPLES).into_iter().enumerate() {
+            let before = *live.kernel();
+            live.observe(tasks, cap).unwrap();
+            swaps += usize::from(*live.kernel() != before);
+            let ctx = format!("refit {every:?}, sample {i}");
+            assert_same_model(&live, &restore(&live, cfg), &ctx);
+            if let Some(c) = carried.as_mut() {
+                c.observe(tasks, cap).unwrap();
+                assert_same_model(&live, c, &format!("{ctx}, carried"));
             }
-            if every.is_some() {
-                assert!(
-                    swaps > 0,
-                    "refit {every:?}: the stream never swapped kernels"
-                );
+            if i + 1 == CARRY_FROM {
+                carried = Some(restore(&live, cfg));
             }
+        }
+        if every.is_some() {
+            assert!(
+                swaps > 0,
+                "refit {every:?}: the stream never swapped kernels"
+            );
         }
     }
 }
