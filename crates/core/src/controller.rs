@@ -29,8 +29,10 @@ use dragster_sim::{
 
 /// Version tag of the exported learner-state layout (bump on change).
 /// Version 2 carries each GP's scale and kernel beside its samples, so a
-/// restore rebuilds the posterior instead of re-learning it.
-const STATE_VERSION: usize = 2;
+/// restore rebuilds the posterior instead of re-learning it; version 3
+/// packs every float vector into one string ([`json::bits_arr`]), so a
+/// GP's capacity history is one string, not one node per sample.
+const STATE_VERSION: usize = 3;
 
 /// Which level-1 algorithm computes the capacity targets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -568,11 +570,12 @@ impl Autoscaler for Dragster {
 
     /// Checkpoint every piece of learner state: per GP its normalization
     /// scale, SE kernel and observation history (as parallel `tasks` and
-    /// `capacity` arrays), dual variables, OGD iterate, Theorem-2
+    /// `capacity` columns), dual variables, OGD iterate, Theorem-2
     /// estimator, the Thompson RNG position, and the diagnostics the next
     /// decision reads (`last_targets`, `last_l`). Floats travel as
     /// bit-exact hex so a restored controller is *bit-identical*, not
-    /// approximately equal.
+    /// approximately equal; a float vector is one packed string. Nothing
+    /// here is allocated per GP sample but the `tasks` array's one node.
     fn export_state(&self) -> Option<Json> {
         let (s, spare) = self.rng.save_state();
         let rng = Json::Obj(vec![
@@ -611,7 +614,7 @@ impl Autoscaler for Dragster {
                         ),
                         (
                             "capacity".to_string(),
-                            Json::Arr(history.iter().map(|&(_, c)| json::bits(c)).collect()),
+                            json::bits_arr(history.iter().map(|(_, c)| c)),
                         ),
                     ])
                 })
@@ -623,11 +626,11 @@ impl Autoscaler for Dragster {
                 Json::Obj(vec![
                     (
                         "weights".to_string(),
-                        Json::Arr(snap.weights.iter().map(|w| json::bits_arr(w)).collect()),
+                        Json::Arr(snap.weights.iter().map(json::bits_arr).collect()),
                     ),
                     (
                         "p_mats".to_string(),
-                        Json::Arr(snap.p_mats.iter().map(|p| json::bits_arr(p)).collect()),
+                        Json::Arr(snap.p_mats.iter().map(json::bits_arr).collect()),
                     ),
                     (
                         "n_obs".to_string(),
@@ -1279,10 +1282,18 @@ mod tests {
             Some(Json::Arr(tasks))
         };
         let capacity_with = |c: f64| {
-            let mut caps = vec![json::bits(100.0); len];
-            caps[len / 2] = json::bits(c);
-            Some(Json::Arr(caps))
+            let mut caps = vec![100.0; len];
+            caps[len / 2] = c;
+            Some(json::bits_arr(&caps))
         };
+        // The intact packed column, edited as text.
+        let column = first_gp(&mut state.clone())
+            .get("capacity")
+            .and_then(Json::as_str)
+            .expect("capacity is one packed string")
+            .to_string();
+        assert_eq!(column.len(), 16 * len);
+        let capacity_text = |text: String| Some(Json::Str(text));
         let mut cases: Vec<(String, Corrupt)> = Vec::new();
         for key in ["scale", "length_scale", "signal_var"] {
             for v in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
@@ -1304,13 +1315,40 @@ mod tests {
             "tasks longer than capacity".into(),
             gp_field("tasks", Some(Json::Arr(vec![json::num(1); len + 1]))),
         ));
+        cases.push((
+            "capacity one value shorter than tasks".into(),
+            gp_field("capacity", capacity_text(column[16..].to_string())),
+        ));
+        for (what, text) in [
+            ("one digit short", column[1..].to_string()),
+            ("one digit long", format!("{column}0")),
+            (
+                "an uppercase digit",
+                column.replacen(['a', 'b', 'c', 'd', 'e', 'f'], "A", 1),
+            ),
+            ("a non-hex digit", column.replacen('0', "g", 1)),
+        ] {
+            cases.push((
+                format!("capacity with {what}"),
+                gp_field("capacity", capacity_text(text)),
+            ));
+        }
+        let unpacked: Vec<Json> = (0..len).map(|_| json::bits(100.0)).collect();
+        cases.push((
+            "capacity as an array of strings (layout v2)".into(),
+            gp_field("capacity", Some(Json::Arr(unpacked))),
+        ));
         for key in ["scale", "length_scale", "signal_var", "tasks", "capacity"] {
             cases.push((format!("missing {key}"), gp_field(key, None)));
         }
-        cases.push((
-            "state_version 1".into(),
-            Box::new(|s: &mut Json| set_field(s, "state_version", Some(json::num(1)))),
-        ));
+        for version in [1, 2] {
+            cases.push((
+                format!("state_version {version}"),
+                Box::new(move |s: &mut Json| {
+                    set_field(s, "state_version", Some(json::num(version)))
+                }),
+            ));
+        }
 
         for (name, corrupt) in &cases {
             let mut bad = state.clone();

@@ -191,7 +191,8 @@ fn row_start(i: usize) -> usize {
 }
 
 impl Cholesky {
-    /// Factorize a symmetric positive-definite matrix.
+    /// Factorize a symmetric positive-definite matrix. A pivot that is
+    /// not positive, NaN included, is an error.
     pub fn factor(a: &Matrix) -> Result<Cholesky, NotPositiveDefinite> {
         assert_eq!(a.rows(), a.cols(), "Cholesky requires a square matrix");
         let n = a.rows();
@@ -205,7 +206,7 @@ impl Cholesky {
                     s -= data[ri + k] * data[rj + k];
                 }
                 if i == j {
-                    if s <= 0.0 {
+                    if s.is_nan() || s <= 0.0 {
                         return Err(NotPositiveDefinite { pivot: i });
                     }
                     data[ri + i] = s.sqrt();
@@ -265,13 +266,14 @@ impl Cholesky {
     /// Extend the factorization of `A` to that of
     /// `[[A, b], [bᵀ, c]]`: one triangular solve plus a scalar pivot.
     /// `b` is the new column (length = current order), `c` the new
-    /// diagonal entry.
+    /// diagonal entry. A pivot that is not positive, NaN included, is an
+    /// error and leaves the factor unchanged.
     pub fn extend(&mut self, b: &[f64], c: f64) -> Result<(), NotPositiveDefinite> {
         let n = self.n;
         assert_eq!(b.len(), n, "new column has wrong length");
         let w = self.solve_lower(b);
         let pivot2 = c - w.iter().map(|x| x * x).sum::<f64>();
-        if pivot2 <= 0.0 {
+        if pivot2.is_nan() || pivot2 <= 0.0 {
             return Err(NotPositiveDefinite { pivot: n });
         }
         self.data.extend_from_slice(&w);
@@ -459,6 +461,28 @@ mod tests {
         let b = vec![10.0, 10.0, 10.0];
         assert!(ch.extend(&b, 1.0).is_err());
         assert_eq!(ch.order(), 3); // untouched on error
+
+        // A NaN pivot fails `pivot2 <= 0.0` and must be rejected too,
+        // whether it comes from the column or the diagonal.
+        let before = ch.factor_matrix();
+        for (col, diag) in [([f64::NAN, 0.0, 0.0], 9.0), ([0.1, 0.2, 0.3], f64::NAN)] {
+            assert_eq!(ch.extend(&col, diag), Err(NotPositiveDefinite { pivot: 3 }));
+            assert_eq!(ch.order(), 3);
+            assert_eq!(ch.factor_matrix(), before);
+        }
+    }
+
+    #[test]
+    fn factor_rejects_a_nan_diagonal() {
+        for at in 0..3 {
+            let mut a = spd3();
+            a[(at, at)] = f64::NAN;
+            assert_eq!(
+                Cholesky::factor(&a).map(|_| ()),
+                Err(NotPositiveDefinite { pivot: at }),
+                "NaN at diagonal entry {at}"
+            );
+        }
     }
 
     #[test]

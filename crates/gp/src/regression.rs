@@ -317,6 +317,22 @@ mod tests {
     }
 
     #[test]
+    fn nan_input_is_rejected_and_leaves_the_posterior_unchanged() {
+        let mut gp = GpRegressor::new(SquaredExp::new(1.0), 0.5);
+        gp.observe(&[1.0], 0.5).unwrap();
+        let before = gp.posterior(&[1.0]);
+        assert!(matches!(
+            gp.observe(&[f64::NAN], 0.5),
+            Err(GpError::NotPositiveDefinite { pivot: 1 })
+        ));
+        assert_eq!(gp.len(), 1);
+        let after = gp.posterior(&[1.0]);
+        assert_eq!(after.mean.to_bits(), before.mean.to_bits());
+        assert_eq!(after.var.to_bits(), before.var.to_bits());
+        assert!(after.var > 0.0);
+    }
+
+    #[test]
     fn interpolates_at_low_noise() {
         let mut gp = make_gp();
         gp.observe(&[0.0], 1.0).unwrap();

@@ -12,7 +12,8 @@
 //! Learner state is serialized with floats as the 16-hex-digit IEEE-754
 //! bit pattern ([`f64_to_hex`]/[`f64_from_hex`]), never as decimal text:
 //! replay-identity after a crash requires *bit*-identical restored
-//! state, NaN payloads included. Exports read by people and tools
+//! state, NaN payloads included. A float vector is one string of those
+//! patterns back to back ([`bits_arr`]/[`bits_vec`]). Exports read by people and tools
 //! (traces, results) use [`Json::Num`] instead, which renders the
 //! shortest decimal that parses back to the same `f64`.
 
@@ -25,6 +26,9 @@ use convert::usize_to_f64;
 /// checkpoint saturates here instead of at `usize::MAX`, whose rendering
 /// the decoder rejects.
 pub const MAX_COUNT: usize = (1 << 53) - 1;
+
+/// 2^53, the largest magnitude [`Json::render`] prints as an integer.
+const TWO_POW_53: f64 = 9_007_199_254_740_992.0;
 
 // ---------------------------------------------------------------------------
 // Value type.
@@ -119,17 +123,18 @@ impl Json {
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
             Json::Num(x) => {
-                if x.is_finite() {
-                    if x.fract() == 0.0 && x.abs() <= 2f64.powi(53) {
-                        // Integral values print without a fraction so
-                        // counts/slots re-parse via `as_usize`. The sign
-                        // bit, not `>= 0.0`, routes −0.0 to `format!`,
-                        // which prints it as `-0`.
-                        if x.is_sign_positive() && *x <= crate::convert::usize_to_f64(usize::MAX) {
-                            push_usize(crate::convert::f64_to_usize_saturating(*x), out);
-                        } else {
-                            out.push_str(&format!("{:.0}", x));
-                        }
+                // Integral values print without a fraction so counts and
+                // slots re-parse via `as_usize`. A non-negative one up to
+                // 2^53 round-trips through `usize` exactly, which tests
+                // integrality without `fract` (a libm call on baseline
+                // x86-64). The sign bit, not `>= 0.0`, routes −0.0 to
+                // `format!`, which prints it as `-0`.
+                let n = crate::convert::f64_to_usize_saturating(*x);
+                if x.is_sign_positive() && *x <= TWO_POW_53 && usize_to_f64(n) == *x {
+                    push_usize(n, out);
+                } else if x.is_finite() {
+                    if x.fract() == 0.0 && x.abs() <= TWO_POW_53 {
+                        out.push_str(&format!("{:.0}", x));
                     } else {
                         // `{:?}` is Rust's shortest round-trip formatting.
                         out.push_str(&format!("{:?}", x));
@@ -181,32 +186,69 @@ pub fn esc(s: &str) -> String {
 
 /// Escapes `s` directly into `out` — the allocation-free form of [`esc`],
 /// and the escaper behind [`Json::render`]. Byte-identical to [`esc`].
+/// Each run of bytes that needs no escaping is copied with one
+/// `push_str`: a packed float vector is one run.
 pub fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => {
+    let mut rest = s;
+    loop {
+        let plain = plain_len(rest.as_bytes());
+        out.push_str(rest.get(..plain).unwrap_or_default());
+        let Some(&b) = rest.as_bytes().get(plain) else {
+            return;
+        };
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
                 // `\u{:04x}` by hand: control chars are < 0x20, so the two
                 // high digits are always zero.
-                let v = u32::from(c);
                 out.push_str("\\u00");
-                out.push(char::from_digit((v >> 4) & 0xf, 16).unwrap_or('0'));
-                out.push(char::from_digit(v & 0xf, 16).unwrap_or('0'));
+                out.push(char::from(hex_digit(b >> 4)));
+                out.push(char::from(hex_digit(b & 0xf)));
             }
-            c => out.push(c),
         }
+        rest = rest.get(plain + 1..).unwrap_or_default();
     }
+}
+
+/// Length of the longest prefix of `bytes` with no `"`, `\\` or control
+/// byte (below 0x20): a run that a string's escaper, and its parser, copy
+/// in one piece. All three are ASCII and no byte of a multi-byte UTF-8
+/// sequence is below 0x80, so the run ends on a char boundary. Eight bytes
+/// are tested at a time: in a word `x`, `(x − 0x0101…01·n) & !x &
+/// 0x8080…80` is non-zero exactly when some byte is below `n` (n ≤ 128),
+/// and a byte equal to `c` is a byte of `x ^ c·0x0101…01` below 1.
+fn plain_len(bytes: &[u8]) -> usize {
+    const ONES: u64 = u64::MAX / 0xff;
+    let below = |x: u64, n: u8| x.wrapping_sub(ONES * u64::from(n)) & !x & (ONES * 0x80);
+    let mut words = bytes.chunks_exact(8);
+    let mut plain = 0;
+    for word in &mut words {
+        let x = u64::from_le_bytes(word.try_into().unwrap_or_default());
+        let quote = x ^ (ONES * u64::from(b'"'));
+        let backslash = x ^ (ONES * u64::from(b'\\'));
+        if below(x, 0x20) | below(quote, 1) | below(backslash, 1) != 0 {
+            break;
+        }
+        plain += 8;
+    }
+    let tail = bytes.get(plain..).unwrap_or_default();
+    plain
+        + tail
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(tail.len())
 }
 
 /// Writes a `usize` as plain decimal digits into `out` without
 /// allocating — byte-identical to how [`num`] values render.
 pub fn push_usize(v: usize, out: &mut String) {
-    if v == 0 {
-        out.push('0');
+    if v < 10 {
+        // One digit: task counts, the common case in a checkpoint.
+        out.push(char::from(b'0' + u8::try_from(v).unwrap_or(0)));
         return;
     }
     // Collect digits least-significant first, then emit in reverse; a
@@ -229,12 +271,49 @@ pub fn push_usize(v: usize, out: &mut String) {
 }
 
 /// Writes a `u64` as 16 lowercase hex digits into `out` without
-/// allocating — byte-identical to [`u64_to_hex`].
+/// allocating — byte-identical to [`u64_to_hex`], and one `push_str`.
 pub fn push_u64_hex(v: u64, out: &mut String) {
-    for shift in (0..16).rev() {
-        let d = u32::try_from((v >> (shift * 4)) & 0xf).unwrap_or(0);
-        out.push(char::from_digit(d, 16).unwrap_or('0'));
+    out.push_str(std::str::from_utf8(&hex_digits(v)).unwrap_or_default());
+}
+
+/// The lowercase ASCII hex digit of a nibble (`n < 16`).
+fn hex_digit(n: u8) -> u8 {
+    if n < 10 {
+        b'0' + n
+    } else {
+        b'a' - 10 + n
     }
+}
+
+/// The 16 lowercase ASCII hex digits of `v`, most significant first —
+/// the bytes [`push_u64_hex`] appends, for a writer that fills a reserved
+/// place instead. All 16 nibbles are converted at once: they are spread
+/// one per byte of a `u128` (nibble `k` in byte `k`), then `'0'` is added
+/// to every byte and `'a' − '0' − 10` to those holding 10 or more.
+pub fn hex_digits(v: u64) -> [u8; 16] {
+    const ONES: u128 = u128::MAX / 0xff;
+    let x = u128::from(v);
+    let x = (x & 0xffff_ffff_0000_0000) << 32 | (x & 0xffff_ffff);
+    let x = (x & 0xffff_0000_0000_0000_ffff_0000) << 16 | (x & 0xffff_0000_0000_0000_ffff);
+    let x = (x & (ONES / 0x0101 * 0xff00)) << 8 | (x & (ONES / 0x0101 * 0xff));
+    let x = (x & (ONES * 0xf0)) << 4 | (x & (ONES * 0x0f));
+    let ten_or_more = ((x + ONES * 6) >> 4) & ONES;
+    (x + ONES * u128::from(b'0') + ten_or_more * u128::from(b'a' - b'0' - 10)).to_be_bytes()
+}
+
+/// Inverse of [`hex_digits`]: exactly 16 lowercase hex digits, or `None`.
+fn hex_word(digits: &[u8]) -> Option<u64> {
+    if digits.len() != 16 {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |word, &d| {
+        let nibble = match d {
+            b'0'..=b'9' => d - b'0',
+            b'a'..=b'f' => d - b'a' + 10,
+            _ => return None,
+        };
+        Some(word << 4 | u64::from(nibble))
+    })
 }
 
 /// Writes an `f64`'s IEEE-754 bit pattern as 16 hex digits into `out`
@@ -254,12 +333,10 @@ pub fn f64_to_hex(v: f64) -> String {
     u64_to_hex(v.to_bits())
 }
 
-/// Inverse of [`f64_to_hex`]. Rejects anything but exactly 16 hex digits.
+/// Inverse of [`f64_to_hex`]. Rejects anything but exactly 16 lowercase
+/// hex digits.
 pub fn f64_from_hex(s: &str) -> Option<f64> {
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
+    u64_from_hex(s).map(f64::from_bits)
 }
 
 /// Encodes a `u64` (RNG words, checksums) as 16 hex digits.
@@ -269,18 +346,16 @@ pub fn u64_to_hex(v: u64) -> String {
     out
 }
 
-/// Inverse of [`u64_to_hex`]. Rejects anything but exactly 16 hex digits.
+/// Inverse of [`u64_to_hex`]. Rejects anything but exactly 16 lowercase
+/// hex digits, the only form the writer emits.
 pub fn u64_from_hex(s: &str) -> Option<u64> {
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok()
+    hex_word(s.as_bytes())
 }
 
-/// FNV-1a 64-bit hash — the checksum for checkpoint blobs and journal
-/// records (the same construction the lint baseline uses for finding
-/// fingerprints). Not cryptographic; it detects torn/corrupt records,
-/// not adversaries.
+/// FNV-1a 64-bit hash, one byte a step — the hash of decision streams,
+/// seed pins and lint finding fingerprints. Not cryptographic. Checkpoints
+/// and journal lines are sealed with `dragster_sim::checkpoint`'s own
+/// word-wise checksum, not with this one.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -301,160 +376,219 @@ pub const MAX_DEPTH: usize = 128;
 
 /// Parses a JSON document (objects, arrays, strings, numbers, literals).
 /// Strict enough for round-tripping the documents this module writes;
-/// trailing garbage and nesting deeper than [`MAX_DEPTH`] are errors.
+/// trailing garbage and nesting deeper than [`MAX_DEPTH`] are errors, and
+/// whitespace is JSON's four bytes (space, tab, LF, CR).
+///
+/// The parser reads the text's bytes in place. Every byte the grammar
+/// acts on is ASCII, so string runs without escapes are copied with one
+/// `push_str` and numbers are parsed from their slice of the text. Error
+/// offsets are byte offsets.
 pub fn parse_json(text: &str) -> Result<Json, String> {
-    let chars: Vec<char> = text.chars().collect();
-    let mut pos = 0usize;
-    let v = parse_value(&chars, &mut pos, 0)?;
-    skip_ws(&chars, &mut pos);
-    if pos != chars.len() {
-        return Err(format!("trailing garbage at offset {pos}"));
+    let mut parser = Parser { text, pos: 0 };
+    let v = parser.value(0)?;
+    parser.skip_ws();
+    if parser.pos != text.len() {
+        return Err(format!("trailing garbage at offset {}", parser.pos));
     }
     Ok(v)
 }
 
-fn skip_ws(c: &[char], p: &mut usize) {
-    while c.get(*p).is_some_and(|ch| ch.is_whitespace()) {
-        *p += 1;
-    }
+/// A cursor over the text of one document.
+struct Parser<'a> {
+    text: &'a str,
+    /// Byte offset of the next unread byte.
+    pos: usize,
 }
 
-fn parse_value(c: &[char], p: &mut usize, depth: usize) -> Result<Json, String> {
-    if depth > MAX_DEPTH {
-        return Err(format!("nesting deeper than {MAX_DEPTH} at offset {p}"));
+impl Parser<'_> {
+    /// The unread bytes.
+    fn rest(&self) -> &[u8] {
+        self.text.as_bytes().get(self.pos..).unwrap_or_default()
     }
-    skip_ws(c, p);
-    let Some(&ch) = c.get(*p) else {
-        return Err("unexpected end of input".to_string());
-    };
-    match ch {
-        '{' => {
-            *p += 1;
-            let mut pairs = Vec::new();
-            skip_ws(c, p);
-            if c.get(*p) == Some(&'}') {
-                *p += 1;
-                return Ok(Json::Obj(pairs));
+
+    fn peek(&self) -> Option<u8> {
+        self.rest().first().copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while self
+            .peek()
+            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+        {
+            self.pos += 1;
+        }
+    }
+
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
+        if depth > MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            ));
+        }
+        self.skip_ws();
+        match self.peek() {
+            None => Err("unexpected end of input".to_string()),
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b't' | b'f' | b'n') => self.literal(),
+            Some(_) => self.number(),
+        }
+    }
+
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
+        self.pos += 1;
+        let mut pairs = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(pairs));
+        }
+        loop {
+            self.skip_ws();
+            if self.peek() != Some(b'"') {
+                return Err(format!(
+                    "object key must be a string at offset {}",
+                    self.pos
+                ));
             }
-            loop {
-                skip_ws(c, p);
-                let Json::Str(key) = parse_value(c, p, depth)? else {
-                    return Err(format!("object key must be a string at offset {p}"));
-                };
-                skip_ws(c, p);
-                if c.get(*p) != Some(&':') {
-                    return Err(format!("expected ':' at offset {p}"));
+            let key = self.string()?;
+            self.skip_ws();
+            if self.peek() != Some(b':') {
+                return Err(format!("expected ':' at offset {}", self.pos));
+            }
+            self.pos += 1;
+            let val = self.value(depth + 1)?;
+            pairs.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(pairs));
                 }
-                *p += 1;
-                let val = parse_value(c, p, depth + 1)?;
-                pairs.push((key, val));
-                skip_ws(c, p);
-                match c.get(*p) {
-                    Some(',') => *p += 1,
-                    Some('}') => {
-                        *p += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at offset {p}")),
-                }
+                _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
             }
         }
-        '[' => {
-            *p += 1;
-            let mut items = Vec::new();
-            skip_ws(c, p);
-            if c.get(*p) == Some(&']') {
-                *p += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(c, p, depth + 1)?);
-                skip_ws(c, p);
-                match c.get(*p) {
-                    Some(',') => *p += 1,
-                    Some(']') => {
-                        *p += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at offset {p}")),
+    }
+
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value(depth + 1)?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
                 }
+                _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
             }
         }
-        '"' => {
-            *p += 1;
-            let mut s = String::new();
-            while let Some(&ch) = c.get(*p) {
-                match ch {
-                    '"' => {
-                        *p += 1;
-                        return Ok(Json::Str(s));
-                    }
-                    '\\' => {
-                        *p += 1;
-                        let Some(&e) = c.get(*p) else {
-                            return Err("unterminated escape".to_string());
-                        };
-                        match e {
-                            '"' => s.push('"'),
-                            '\\' => s.push('\\'),
-                            '/' => s.push('/'),
-                            'n' => s.push('\n'),
-                            'r' => s.push('\r'),
-                            't' => s.push('\t'),
-                            'b' => s.push('\u{8}'),
-                            'f' => s.push('\u{c}'),
-                            'u' => {
-                                let hex: String = c
-                                    .get(*p + 1..*p + 5)
-                                    .ok_or("truncated \\u escape")?
-                                    .iter()
-                                    .collect();
-                                let code = u32::from_str_radix(&hex, 16)
-                                    .map_err(|e| format!("bad \\u escape: {e}"))?;
-                                s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                                *p += 4;
-                            }
-                            other => return Err(format!("bad escape '\\{other}'")),
-                        }
-                        *p += 1;
-                    }
-                    _ => {
-                        s.push(ch);
-                        *p += 1;
-                    }
-                }
+    }
+
+    /// The string literal whose opening quote is the next byte. A raw
+    /// control byte, which the writer never emits, is kept as it is.
+    fn string(&mut self) -> Result<String, String> {
+        self.pos += 1;
+        let mut s = String::new();
+        loop {
+            let plain = plain_len(self.rest());
+            s.push_str(
+                self.text
+                    .get(self.pos..self.pos + plain)
+                    .unwrap_or_default(),
+            );
+            self.pos += plain;
+            let Some(b) = self.peek() else {
+                return Err("unterminated string".to_string());
+            };
+            self.pos += 1;
+            match b {
+                b'"' => return Ok(s),
+                b'\\' => self.escape(&mut s)?,
+                control => s.push(char::from(control)),
             }
-            Err("unterminated string".to_string())
         }
-        't' | 'f' | 'n' => {
-            for (lit, val) in [
-                ("true", Json::Bool(true)),
-                ("false", Json::Bool(false)),
-                ("null", Json::Null),
-            ] {
-                let end = *p + lit.len();
-                if let Some(span) = c.get(*p..end) {
-                    if span.iter().collect::<String>() == lit {
-                        *p = end;
-                        return Ok(val);
-                    }
-                }
+    }
+
+    /// The escape after a backslash, appended to `s`.
+    fn escape(&mut self, s: &mut String) -> Result<(), String> {
+        let Some(e) = self.peek() else {
+            return Err("unterminated escape".to_string());
+        };
+        self.pos += 1;
+        match e {
+            b'"' => s.push('"'),
+            b'\\' => s.push('\\'),
+            b'/' => s.push('/'),
+            b'n' => s.push('\n'),
+            b'r' => s.push('\r'),
+            b't' => s.push('\t'),
+            b'b' => s.push('\u{8}'),
+            b'f' => s.push('\u{c}'),
+            b'u' => {
+                let hex = self
+                    .text
+                    .get(self.pos..self.pos + 4)
+                    .ok_or("truncated \\u escape")?;
+                let code =
+                    u32::from_str_radix(hex, 16).map_err(|e| format!("bad \\u escape: {e}"))?;
+                s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                self.pos += 4;
             }
-            Err(format!("bad literal at offset {p}"))
-        }
-        _ => {
-            let start = *p;
-            while c
-                .get(*p)
-                .is_some_and(|ch| ch.is_ascii_digit() || matches!(ch, '-' | '+' | '.' | 'e' | 'E'))
-            {
-                *p += 1;
+            _ => {
+                let other = self
+                    .text
+                    .get(self.pos - 1..)
+                    .and_then(|r| r.chars().next())
+                    .unwrap_or('\u{fffd}');
+                return Err(format!("bad escape '\\{other}'"));
             }
-            let text: String = c.get(start..*p).unwrap_or(&[]).iter().collect();
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|e| format!("bad number `{text}`: {e}"))
         }
+        Ok(())
+    }
+
+    fn literal(&mut self) -> Result<Json, String> {
+        for (lit, val) in [
+            ("true", Json::Bool(true)),
+            ("false", Json::Bool(false)),
+            ("null", Json::Null),
+        ] {
+            if self.rest().starts_with(lit.as_bytes()) {
+                self.pos += lit.len();
+                return Ok(val);
+            }
+        }
+        Err(format!("bad literal at offset {}", self.pos))
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let digits = self
+            .rest()
+            .iter()
+            .take_while(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'));
+        let len = digits.clone().count();
+        // Up to 15 plain digits are an integer below 2^53, which the float
+        // parser would return exactly: counts and task numbers skip it.
+        if (1..=15).contains(&len) && digits.clone().all(u8::is_ascii_digit) {
+            let n = digits.fold(0usize, |n, &d| n * 10 + usize::from(d - b'0'));
+            self.pos += len;
+            return Ok(Json::Num(usize_to_f64(n)));
+        }
+        let text = self.text.get(self.pos..self.pos + len).unwrap_or_default();
+        self.pos += len;
+        text.parse::<f64>()
+            .map(Json::Num)
+            .map_err(|e| format!("bad number `{text}`: {e}"))
     }
 }
 
@@ -580,14 +714,53 @@ pub fn bits(v: f64) -> Json {
     Json::Str(f64_to_hex(v))
 }
 
-/// An array of floats as bit-exact hex strings.
-pub fn bits_arr(vs: &[f64]) -> Json {
-    Json::Arr(vs.iter().map(|&v| bits(v)).collect())
+/// A float vector packed into one string: each value's 16-digit bit
+/// pattern, as [`bits`] writes it, with no separator. One string instead
+/// of one node per value is what keeps a checkpoint of a long GP history
+/// cheap to build, render and parse.
+pub fn bits_arr<'a, I>(vs: I) -> Json
+where
+    I: IntoIterator<Item = &'a f64, IntoIter: ExactSizeIterator>,
+{
+    let vs = vs.into_iter();
+    let mut packed = String::with_capacity(16 * vs.len());
+    push_bits(vs, &mut packed);
+    Json::Str(packed)
 }
 
-/// Decodes an array of bit-exact hex floats.
+/// Appends the packed digits of [`bits_arr`] to `out`, without quotes —
+/// the writer behind it, for encoders that render in place. The digits
+/// are staged eight values at a time, so the UTF-8 check and the copy
+/// into `out` run once per 128 bytes rather than once per value.
+pub fn push_bits<'a>(vs: impl IntoIterator<Item = &'a f64>, out: &mut String) {
+    let mut staged = [0u8; 128];
+    let mut used = 0;
+    for &v in vs {
+        if let Some(slot) = staged.get_mut(used..used + 16) {
+            slot.copy_from_slice(&hex_digits(v.to_bits()));
+        }
+        used += 16;
+        if used == staged.len() {
+            out.push_str(std::str::from_utf8(&staged).unwrap_or_default());
+            used = 0;
+        }
+    }
+    let tail = staged.get(..used).unwrap_or_default();
+    out.push_str(std::str::from_utf8(tail).unwrap_or_default());
+}
+
+/// Decodes a packed float vector ([`bits_arr`]): a string of 16 lowercase
+/// hex digits per value. A length that is not a multiple of 16, or any
+/// other character, is `None`.
 pub fn bits_vec(j: &Json) -> Option<Vec<f64>> {
-    j.as_arr()?.iter().map(Json::as_f64_bits).collect()
+    let digits = j.as_str()?.as_bytes();
+    if !digits.len().is_multiple_of(16) {
+        return None;
+    }
+    digits
+        .chunks_exact(16)
+        .map(|w| hex_word(w).map(f64::from_bits))
+        .collect()
 }
 
 /// Decodes an array of usizes.
@@ -644,6 +817,80 @@ mod tests {
         assert_eq!(f64_from_hex("123"), None);
         assert_eq!(f64_from_hex("zzzzzzzzzzzzzzzz"), None);
         assert_eq!(f64_from_hex("00000000000000000"), None);
+        // Only the writer's own form: no uppercase, no sign.
+        assert_eq!(f64_from_hex("3FF0000000000000"), None);
+        assert_eq!(f64_from_hex("+3ff000000000000"), None);
+        assert_eq!(f64_from_hex("3ff0000000000000"), Some(1.0));
+    }
+
+    #[test]
+    fn hex_digits_match_the_formatter() {
+        let mut words = vec![0, 1, 9, 10, 15, 16, u64::MAX, 0xdead_beef, 1 << 63];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..1_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            words.push(x);
+        }
+        let mut out = String::new();
+        for w in words {
+            out.clear();
+            push_u64_hex(w, &mut out);
+            assert_eq!(out, format!("{w:016x}"));
+            assert_eq!(u64_from_hex(&out), Some(w));
+        }
+    }
+
+    #[test]
+    fn packed_bits_roundtrip_bit_exactly() {
+        let nan = f64::from_bits(0x7ff8_0000_dead_beef);
+        let vs = [
+            0.0,
+            -0.0,
+            1.0,
+            nan,
+            f64::MIN_POSITIVE / 3.0,
+            f64::NEG_INFINITY,
+        ];
+        let packed = bits_arr(&vs);
+        let Json::Str(digits) = &packed else {
+            panic!("a packed vector is one string")
+        };
+        assert_eq!(digits.len(), 16 * vs.len());
+        let expected: String = vs.iter().map(|v| f64_to_hex(*v)).collect();
+        assert_eq!(*digits, expected);
+        let back = bits_vec(&parse_json(&packed.render()).expect("parse")).expect("decode");
+        assert_eq!(
+            back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        assert_eq!(bits_arr(&[]), Json::Str(String::new()));
+        assert_eq!(bits_vec(&Json::Str(String::new())), Some(Vec::new()));
+    }
+
+    #[test]
+    fn bits_vec_rejects_malformed_columns() {
+        let good = f64_to_hex(1.5) + &f64_to_hex(-2.0);
+        assert_eq!(bits_vec(&Json::Str(good.clone())), Some(vec![1.5, -2.0]));
+        let mut cases = vec![
+            // A length that is not a multiple of 16.
+            good[..31].to_string(),
+            good.clone() + "0",
+            // An uppercase and a non-hex digit.
+            good.replacen('f', "F", 1),
+            good.replacen('f', "g", 1),
+            good.replacen('f', " ", 1),
+        ];
+        // A sign, which `from_str_radix` would have read.
+        cases.push(format!("+{}", &good[1..]));
+        for bad in cases {
+            assert_eq!(bits_vec(&Json::Str(bad.clone())), None, "accepted `{bad}`");
+        }
+        // The array-of-strings layout that packed vectors replaced.
+        let old = Json::Arr(vec![bits(1.5), bits(-2.0)]);
+        assert_eq!(bits_vec(&old), None);
+        assert_eq!(bits_vec(&num(3)), None);
     }
 
     #[test]
@@ -673,6 +920,99 @@ mod tests {
         assert!(parse_json(&nested(MAX_DEPTH + 2)).is_err());
         // Far past the bound: an error, not a stack overflow.
         assert!(parse_json(&nested(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn parser_reads_bytes_and_reports_byte_offsets() {
+        // `é` is two bytes, so the garbage sits at byte 5, char 4.
+        assert_eq!(
+            parse_json("\"é\" x"),
+            Err("trailing garbage at offset 5".to_string())
+        );
+        let doc = parse_json(" {\"k\\u00e9\\n\":[\"a\\\"b\\\\c\\/\", \"ü€𝄞\"],\r\n\t\"n\":null} ")
+            .expect("parse");
+        assert_eq!(
+            doc,
+            Json::Obj(vec![
+                (
+                    "ké\n".to_string(),
+                    Json::Arr(vec![
+                        Json::Str("a\"b\\c/".to_string()),
+                        Json::Str("ü€𝄞".to_string())
+                    ])
+                ),
+                ("n".to_string(), Json::Null)
+            ])
+        );
+        // Only JSON's four whitespace bytes separate tokens.
+        assert!(parse_json("[1,\u{a0}2]").is_err());
+        assert!(parse_json("[1,\u{c}2]").is_err());
+        assert!(parse_json("\"\\x\"").is_err());
+        assert!(parse_json("\"\\u12\"").is_err());
+        assert!(parse_json("{1:2}").is_err());
+    }
+
+    #[test]
+    fn integer_fast_path_matches_the_float_parser() {
+        for text in [
+            "0",
+            "7",
+            "10",
+            "007",
+            "123456789012345",
+            "1234567890123456",
+            "9007199254740993",
+            "-0",
+            "-12",
+            "1e3",
+            "2.50",
+        ] {
+            let want = text.parse::<f64>().expect("valid number");
+            let Ok(Json::Num(got)) = parse_json(text) else {
+                panic!("`{text}` did not parse as a number")
+            };
+            assert_eq!(got.to_bits(), want.to_bits(), "`{text}`");
+        }
+        assert!(parse_json("1-2").is_err());
+        assert!(parse_json("+").is_err());
+    }
+
+    #[test]
+    fn escape_into_matches_the_char_escaper() {
+        /// The escaper as it was: one `char` at a time.
+        fn by_char(s: &str) -> String {
+            let mut out = String::new();
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+        let all_controls: String = (0u8..0x20).map(char::from).collect();
+        for s in [
+            "",
+            "plain",
+            "\"",
+            "a\"b\\c\nd\re\tf",
+            "é\u{1}ü\u{1f}€\u{7f}𝄞\"",
+            all_controls.as_str(),
+            "trailing\\",
+        ] {
+            let mut out = String::from("prefix");
+            escape_into(s, &mut out);
+            assert_eq!(out, format!("prefix{}", by_char(s)), "{s:?}");
+            assert_eq!(
+                parse_json(&format!("\"{}\"", esc(s))),
+                Ok(Json::Str(s.to_string()))
+            );
+        }
     }
 
     #[test]

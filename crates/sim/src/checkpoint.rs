@@ -7,8 +7,8 @@
 //! observation set, saddle/OGD duals, UCB statistics, RNG positions),
 //! the sanitizer history, the retry/backoff state, and the deployment in
 //! effect — serialized through the workspace's dependency-free
-//! [`crate::json`] codec, and sealed with an FNV-1a
-//! checksum so torn writes are *detected*, never silently restored.
+//! [`crate::json`] codec, and sealed with a word-wise checksum
+//! ([`seal_into`]) so torn writes are *detected*, never silently restored.
 //!
 //! The recovery policy lives in [`crate::harness`]: a checkpoint that
 //! validates (checksum + version + staleness bound) is restored and the
@@ -19,8 +19,10 @@ use crate::json::{self, Json};
 use crate::metrics::{OperatorMetrics, SlotMetrics};
 use crate::sanitize::{SanitizeConfig, SanitizerSnapshot};
 
-/// Checkpoint format version; bump on layout changes.
-pub const CHECKPOINT_VERSION: usize = 1;
+/// Checkpoint format version; bump on layout changes. Version 2 packs
+/// every float vector into one string ([`json::bits_arr`]) and seals with
+/// the word-wise checksum of [`seal_into`].
+pub const CHECKPOINT_VERSION: usize = 2;
 
 /// Why a checkpoint could not be restored. Every variant routes the
 /// harness to the degraded fallback rather than aborting the run.
@@ -92,19 +94,61 @@ pub struct Checkpoint {
 }
 
 // ---------------------------------------------------------------------------
-// Sealing: `crc-hex \n body` framing shared with the journal.
+// Sealing: `<checksum>\n<body>` framing shared with the journal.
 // ---------------------------------------------------------------------------
 
-/// Frames a serialized body with its FNV-1a checksum: `<16-hex>\n<body>`.
-pub fn seal(body: &str) -> String {
-    let mut sealed = String::with_capacity(body.len() + 17);
-    json::push_u64_hex(json::fnv1a64(body.as_bytes()), &mut sealed);
-    sealed.push('\n');
-    sealed.push_str(body);
-    sealed
+/// The frame before a sealed body: 16 hex digits of its checksum and `\n`.
+const FRAME: &str = "0000000000000000\n";
+
+/// One step of the seal's checksum: FNV-1a's xor-then-multiply, then a
+/// rotation. The multiply carries a difference only toward the high bits,
+/// so without the rotation a difference that reaches bit 63 stays there
+/// and a second flip of bit 63 in any later word cancels it; rotating
+/// brings it back down for the next multiply to spread. Each step is a
+/// bijection of the state, so a change confined to one word is always
+/// detected.
+fn checksum_step(h: u64, x: u64) -> u64 {
+    (h ^ x).wrapping_mul(0x0000_0100_0000_01b3).rotate_left(29)
 }
 
-/// Verifies and strips the checksum frame added by [`seal`].
+/// The seal's checksum of `body`: the FNV-1a offset basis, one
+/// [`checksum_step`] per little-endian 8-byte word, then one per tail byte,
+/// and the byte length last. Eight bytes a step is what makes sealing a
+/// long checkpoint cheap; it is not [`json::fnv1a64`], which hashes one
+/// byte a step and stays the hash of decision streams and lint findings.
+fn checksum(body: &[u8]) -> u64 {
+    let mut words = body.chunks_exact(8);
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for word in &mut words {
+        h = checksum_step(h, u64::from_le_bytes(word.try_into().unwrap_or_default()));
+    }
+    for &b in words.remainder() {
+        h = checksum_step(h, u64::from(b));
+    }
+    checksum_step(h, u64::try_from(body.len()).unwrap_or(u64::MAX))
+}
+
+/// Appends one sealed record to `out`: the checksum of the body as 16 hex
+/// digits, `\n`, then the body `write_body` appends. The checksum's place
+/// is reserved first and filled in once the body is complete, so the body
+/// is written once and never copied. Checkpoints and journal lines are
+/// both sealed here.
+pub fn seal_into(out: &mut String, write_body: impl FnOnce(&mut String)) {
+    let start = out.len();
+    out.push_str(FRAME);
+    write_body(out);
+    let body = out
+        .as_bytes()
+        .get(start + FRAME.len()..)
+        .unwrap_or_default();
+    let digits = json::hex_digits(checksum(body));
+    out.replace_range(
+        start..start + digits.len(),
+        std::str::from_utf8(&digits).unwrap_or_default(),
+    );
+}
+
+/// Verifies and strips the checksum frame added by [`seal_into`].
 pub fn unseal(blob: &str) -> Result<&str, String> {
     let Some((crc_hex, body)) = blob.split_once('\n') else {
         return Err("missing checksum frame".to_string());
@@ -112,7 +156,7 @@ pub fn unseal(blob: &str) -> Result<&str, String> {
     let Some(expected) = json::u64_from_hex(crc_hex) else {
         return Err(format!("bad checksum field `{crc_hex}`"));
     };
-    let actual = json::fnv1a64(body.as_bytes());
+    let actual = checksum(body.as_bytes());
     if actual != expected {
         return Err(format!(
             "checksum mismatch: stored {expected:016x}, computed {actual:016x}"
@@ -170,16 +214,9 @@ pub fn write_operator_metrics(om: &OperatorMetrics, out: &mut String) {
     json::push_usize(om.tasks, out);
     out.push_str(",\"input_rate\":\"");
     json::push_f64_hex(om.input_rate, out);
-    out.push_str("\",\"input_rates\":[");
-    for (i, &r) in om.input_rates.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        json::push_f64_hex(r, out);
-        out.push('"');
-    }
-    out.push_str("],\"output_rate\":\"");
+    out.push_str("\",\"input_rates\":\"");
+    json::push_bits(&om.input_rates, out);
+    out.push_str("\",\"output_rate\":\"");
     json::push_f64_hex(om.output_rate, out);
     out.push_str("\",\"offered_load\":\"");
     json::push_f64_hex(om.offered_load, out);
@@ -279,16 +316,9 @@ pub fn write_slot_metrics(m: &SlotMetrics, out: &mut String) {
     json::push_f64_hex(m.cost_dollars, out);
     out.push_str("\",\"pods\":");
     json::push_usize(m.pods, out);
-    out.push_str(",\"source_rates\":[");
-    for (i, &r) in m.source_rates.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        json::push_f64_hex(r, out);
-        out.push('"');
-    }
-    out.push_str("],\"reconfigured\":");
+    out.push_str(",\"source_rates\":\"");
+    json::push_bits(&m.source_rates, out);
+    out.push_str("\",\"reconfigured\":");
     out.push_str(if m.reconfigured { "true" } else { "false" });
     out.push_str(",\"pause_secs\":\"");
     json::push_f64_hex(m.pause_secs, out);
@@ -342,8 +372,8 @@ pub fn decode_slot_metrics(j: &Json) -> Result<SlotMetrics, CheckpointError> {
     })
 }
 
-/// Writes the sanitizer snapshot into `out` in the same layout the
-/// checkpoint has always carried, without building a [`Json`] tree.
+/// Writes the sanitizer snapshot into `out` without building a [`Json`]
+/// tree.
 fn encode_sanitizer(s: &SanitizerSnapshot, out: &mut String) {
     out.push_str("{\"spike_factor\":\"");
     json::push_f64_hex(s.cfg.spike_factor, out);
@@ -359,16 +389,9 @@ fn encode_sanitizer(s: &SanitizerSnapshot, out: &mut String) {
             None => out.push_str("null"),
         }
     }
-    out.push_str("],\"per_task_max\":[");
-    for (i, &v) in s.per_task_max.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        json::push_f64_hex(v, out);
-        out.push('"');
-    }
-    out.push_str("],\"accepted\":[");
+    out.push_str("],\"per_task_max\":\"");
+    json::push_bits(&s.per_task_max, out);
+    out.push_str("\",\"accepted\":[");
     for (i, &a) in s.accepted.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -413,38 +436,46 @@ fn decode_sanitizer(j: &Json) -> Result<SanitizerSnapshot, CheckpointError> {
 }
 
 impl Checkpoint {
-    /// Serializes to a sealed blob (`crc\n{json}`). The body is written
-    /// into one buffer, the learner state rendered by reference, so no part
-    /// of the state tree is copied; counts render through [`json::num`], so
-    /// the bytes are those of the equivalent [`Json`] tree.
+    /// Serializes to a sealed blob (`checksum\n{json}`).
     pub fn encode(&self) -> String {
-        let mut body = String::new();
-        body.push_str("{\"version\":");
-        json::num(self.version).render_into(&mut body);
-        body.push_str(",\"slot\":");
-        json::num(self.slot).render_into(&mut body);
-        body.push_str(",\"scheme\":\"");
-        json::escape_into(&self.scheme, &mut body);
-        body.push_str("\",\"deployment\":[");
-        for (i, &t) in self.deployment.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
+        let mut blob = String::new();
+        self.encode_into(&mut blob);
+        blob
+    }
+
+    /// Appends the sealed blob to `out`. The body is written into `out`
+    /// once, behind the checksum's reserved place: the learner state is
+    /// rendered by reference, so no part of the state tree is copied, and
+    /// counts render through [`json::num`], so the bytes are those of the
+    /// equivalent [`Json`] tree.
+    fn encode_into(&self, out: &mut String) {
+        seal_into(out, |body| {
+            body.push_str("{\"version\":");
+            json::num(self.version).render_into(body);
+            body.push_str(",\"slot\":");
+            json::num(self.slot).render_into(body);
+            body.push_str(",\"scheme\":\"");
+            json::escape_into(&self.scheme, body);
+            body.push_str("\",\"deployment\":[");
+            for (i, &t) in self.deployment.iter().enumerate() {
+                if i > 0 {
+                    body.push(',');
+                }
+                json::num(t).render_into(body);
             }
-            json::num(t).render_into(&mut body);
-        }
-        body.push_str("],\"scaler\":");
-        match &self.scaler {
-            Some(state) => state.render_into(&mut body),
-            None => body.push_str("null"),
-        }
-        body.push_str(",\"sanitizer\":");
-        encode_sanitizer(&self.sanitizer, &mut body);
-        body.push_str(",\"retry_consecutive_failures\":");
-        json::num(self.retry.consecutive_failures).render_into(&mut body);
-        body.push_str(",\"retry_next_attempt\":");
-        json::num(self.retry.next_attempt).render_into(&mut body);
-        body.push('}');
-        seal(&body)
+            body.push_str("],\"scaler\":");
+            match &self.scaler {
+                Some(state) => state.render_into(body),
+                None => body.push_str("null"),
+            }
+            body.push_str(",\"sanitizer\":");
+            encode_sanitizer(&self.sanitizer, body);
+            body.push_str(",\"retry_consecutive_failures\":");
+            json::num(self.retry.consecutive_failures).render_into(body);
+            body.push_str(",\"retry_next_attempt\":");
+            json::num(self.retry.next_attempt).render_into(body);
+            body.push('}');
+        });
     }
 
     /// Deserializes and validates a sealed blob. Checksum failures come
@@ -507,9 +538,15 @@ impl Checkpoint {
 /// sealed blob. In-memory here (the simulator's "durable" store), but the
 /// interface — write sealed blobs, validate on load, tolerate torn data —
 /// is exactly what a file- or object-store-backed implementation needs.
+///
+/// It holds two buffers: the newest blob and a spare that the next write
+/// encodes into, so the newest stays whole until its successor is
+/// complete, and a steady write reuses both allocations.
 #[derive(Clone, Debug, Default)]
 pub struct CheckpointStore {
     latest: Option<String>,
+    /// The blob the last write replaced, kept for its allocation.
+    spare: String,
 }
 
 impl CheckpointStore {
@@ -517,9 +554,14 @@ impl CheckpointStore {
         CheckpointStore::default()
     }
 
-    /// Persists a checkpoint (atomically replaces the previous one).
+    /// Persists a checkpoint (atomically replaces the previous one): the
+    /// blob is encoded into the spare buffer, which then swaps places with
+    /// the newest blob.
     pub fn write(&mut self, ckpt: &Checkpoint) {
-        self.latest = Some(ckpt.encode());
+        self.spare.clear();
+        ckpt.encode_into(&mut self.spare);
+        let previous = self.latest.replace(std::mem::take(&mut self.spare));
+        self.spare = previous.unwrap_or_default();
     }
 
     /// True once at least one write happened (even a later-corrupted one).
@@ -660,7 +702,8 @@ mod tests {
 
     /// `Checkpoint::encode` as it was before it wrote in place: the
     /// learner state deep-cloned into one [`Json`] tree with the
-    /// sanitizer's, rendered, then sealed through `format!`.
+    /// sanitizer's, rendered, then sealed through `format!` with the
+    /// current checksum.
     fn tree_encode(c: &Checkpoint) -> String {
         let s = &c.sanitizer;
         let sanitizer = Json::Obj(vec![
@@ -701,11 +744,7 @@ mod tests {
             ),
         ])
         .render();
-        format!(
-            "{}\n{}",
-            json::u64_to_hex(json::fnv1a64(body.as_bytes())),
-            body
-        )
+        format!("{}\n{}", json::u64_to_hex(checksum(body.as_bytes())), body)
     }
 
     #[test]
@@ -826,13 +865,76 @@ mod tests {
         }
     }
 
+    /// Seals `body` into a fresh line.
+    fn sealed(body: &str) -> String {
+        let mut line = String::new();
+        seal_into(&mut line, |out| out.push_str(body));
+        line
+    }
+
     #[test]
     fn seal_unseal_roundtrip_and_tamper_detection() {
         let body = "{\"a\":1}";
-        let blob = seal(body);
+        let blob = sealed(body);
         assert_eq!(unseal(&blob).expect("unseal"), body);
         let tampered = blob.replace("1", "2");
         assert!(unseal(&tampered).is_err());
         assert!(unseal("nonsense-without-frame").is_err());
+        // The frame is uppercase-free hex: an uppercased checksum is torn.
+        assert!(unseal(&blob.to_uppercase()).is_err());
+        // Sealing appends: what the buffer held before is left alone.
+        let mut out = String::from("kept");
+        seal_into(&mut out, |b| b.push_str(body));
+        assert_eq!(out, format!("kept{blob}"));
+    }
+
+    #[test]
+    fn checksum_is_word_wise_and_pinned() {
+        // Pinned: a different checksum is a new checkpoint layout.
+        assert_eq!(checksum(b""), 0x90c0_36fb_f5ec_77a9);
+        assert_eq!(checksum(b"a"), 0x381a_bd03_1c64_84cc);
+        assert_eq!(checksum(b"0123456789abcdef!"), 0x59b0_f08c_3bee_bfcf);
+        // Not the byte-serial hash behind `decisions_fnv`.
+        assert_ne!(checksum(b"foobar"), json::fnv1a64(b"foobar"));
+        // Zero tail bytes and the length both count.
+        assert_ne!(checksum(b"abcdefgh"), checksum(b"abcdefgh\0"));
+        assert_ne!(checksum(&[0; 8]), checksum(&[0; 16]));
+    }
+
+    #[test]
+    fn top_bit_flips_in_two_words_do_not_cancel() {
+        // Without the rotation, a flip of bit 63 of one word leaves the
+        // state differing in bit 63 only, and a second flip of bit 63 in
+        // any later word cancels it.
+        let fnv_words = |body: &[u8]| {
+            body.chunks_exact(8).fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+                (h ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let body = *b"0123456789abcdef0123456789abcdef";
+        for (i, j) in [(7, 15), (7, 31), (15, 23)] {
+            let mut flipped = body;
+            flipped[i] ^= 0x80;
+            flipped[j] ^= 0x80;
+            assert_eq!(fnv_words(&flipped), fnv_words(&body));
+            assert_ne!(checksum(&flipped), checksum(&body), "bytes {i} and {j}");
+        }
+    }
+
+    #[test]
+    fn store_keeps_the_newest_whole_and_reuses_its_buffers() {
+        let mut ckpt = sample_checkpoint();
+        let mut store = CheckpointStore::new();
+        for slot in 7..10 {
+            ckpt.slot = slot;
+            store.write(&ckpt);
+            assert_eq!(store.load_validated(slot, 0), Ok(ckpt.clone()));
+        }
+        // A torn newest blob is replaced whole by the next write.
+        store.corrupt_latest();
+        assert!(store.load_validated(9, 0).is_err());
+        ckpt.slot = 10;
+        store.write(&ckpt);
+        assert_eq!(store.load_validated(10, 0), Ok(ckpt));
     }
 }

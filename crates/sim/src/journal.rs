@@ -11,9 +11,9 @@
 //! sanitizer state at the crash point (the replay-identity guarantee
 //! validated in `tests/recovery.rs`).
 //!
-//! Records are framed with the same FNV-1a seal as checkpoints
-//! ([`crate::checkpoint::seal`]); a torn or missing record is detected at
-//! replay time and routes recovery to the degraded fallback instead of
+//! Records are framed with the same seal as checkpoints
+//! ([`crate::checkpoint::seal_into`]); a torn or missing record is detected
+//! at replay time and routes recovery to the degraded fallback instead of
 //! silently replaying wrong history.
 //!
 //! The checkpoint store keeps only the newest checkpoint, and a restore
@@ -22,7 +22,9 @@
 //! ([`DecisionJournal::compact_through`]): its size is bounded by the
 //! checkpoint cadence, not by the horizon.
 
-use crate::checkpoint::{decode_slot_metrics, unseal, write_slot_metrics, CheckpointError};
+use crate::checkpoint::{
+    decode_slot_metrics, seal_into, unseal, write_slot_metrics, CheckpointError,
+};
 use crate::json::{self, Json};
 use crate::sanitize::RawSlot;
 
@@ -126,12 +128,8 @@ impl JournalRecord {
 
     /// Serializes to a sealed line.
     pub fn encode(&self) -> String {
-        let mut body = String::new();
-        self.write_body(&mut body);
-        let mut line = String::with_capacity(body.len() + 17);
-        json::push_u64_hex(json::fnv1a64(body.as_bytes()), &mut line);
-        line.push('\n');
-        line.push_str(&body);
+        let mut line = String::new();
+        seal_into(&mut line, |body| self.write_body(body));
         line
     }
 
@@ -173,8 +171,8 @@ pub struct DecisionJournal {
     /// in-memory form of a log's offset index, so a replay finds its
     /// records without decoding any other line.
     lines: Vec<(usize, String)>,
-    /// Reusable body buffer for [`DecisionJournal::append`]; never part
-    /// of the log itself.
+    /// Reusable buffer [`DecisionJournal::append`] seals each line into;
+    /// never part of the log itself.
     scratch: String,
 }
 
@@ -184,16 +182,12 @@ impl DecisionJournal {
     }
 
     /// Appends one slot's record. The only allocation is the sealed line
-    /// itself (the durable log entry); the body is staged in a reused
-    /// scratch buffer.
+    /// itself (the durable log entry), an exact-size copy of the line
+    /// sealed in a reused scratch buffer.
     pub fn append(&mut self, record: &JournalRecord) {
         self.scratch.clear();
-        record.write_body(&mut self.scratch);
-        let mut line = String::with_capacity(self.scratch.len() + 17);
-        json::push_u64_hex(json::fnv1a64(self.scratch.as_bytes()), &mut line);
-        line.push('\n');
-        line.push_str(&self.scratch);
-        self.lines.push((record.t, line));
+        seal_into(&mut self.scratch, |body| record.write_body(body));
+        self.lines.push((record.t, self.scratch.clone()));
     }
 
     /// Number of records held.
@@ -343,10 +337,10 @@ mod tests {
 
     #[test]
     fn append_line_is_byte_identical_to_encode() {
-        // `append` stages the body in a reused scratch buffer and seals
-        // by hand; the stored line must stay byte-identical to the
-        // allocating `encode()` path (and to the tree-based codec both
-        // were derived from — see `checkpoint::tests`).
+        // `append` seals into a reused scratch buffer; the stored line
+        // must stay byte-identical to the allocating `encode()` path (and
+        // to the tree-based codec both were derived from — see
+        // `checkpoint::tests`).
         let mut journal = DecisionJournal::new();
         for t in 0..4 {
             journal.append(&record(t));

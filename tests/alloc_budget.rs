@@ -7,7 +7,8 @@
 //!   Yahoo under a binding 30-pod budget — the per-slot work that
 //!   Theorem 1 assumes is negligible next to the slot (DESIGN §11);
 //! * one solve and one greedy oracle call, from a fresh scratch;
-//! * the durable path: checkpoint encode and learner-state import.
+//! * the durable path: learner-state export, checkpoint encode, a repeat
+//!   store write and learner-state import.
 //!
 //! Counts are exact and deterministic, so unlike a timing gate this cannot
 //! flake on a shared host. The counter is per thread, so neither the test
@@ -21,7 +22,7 @@ use dragster::core::saddle::TargetSolver;
 use dragster::core::{greedy_optimal, Dragster, DragsterConfig, OperatorGp};
 use dragster::dag::analysis::throughput_upper_bound;
 use dragster::dag::Topology;
-use dragster::sim::checkpoint::{Checkpoint, RetrySnapshot, CHECKPOINT_VERSION};
+use dragster::sim::checkpoint::{Checkpoint, CheckpointStore, RetrySnapshot, CHECKPOINT_VERSION};
 use dragster::sim::fluid::SimConfig;
 use dragster::sim::{
     run_experiment, run_experiment_recoverable, ArrivalProcess, Autoscaler, ClusterConfig,
@@ -140,13 +141,18 @@ fn solve_and_oracle_allocation_budget() {
 /// history one for one (97 for 960 samples).
 const IMPORT_BUDGET: usize = 200;
 
-/// Writing a checkpoint renders the learner state in place, so its
-/// allocation count is the body buffer's geometric growth, not one or two
-/// per GP sample; importing it rebuilds each GP in one pass with no refit
-/// or hyper-parameter search, and stores no heap object per sample.
+/// Exporting the learner state allocates per GP, not per sample: each
+/// capacity history is one packed string and each `tasks` array one
+/// vector, so the count is the same at 120 and at 480 slots. Writing a
+/// checkpoint renders the state in place, so `Checkpoint::encode` makes
+/// only its buffer's geometric growth, and a repeat `CheckpointStore::write`
+/// encodes into the store's spare buffer and makes none. Importing it
+/// rebuilds each GP in one pass with no refit or hyper-parameter search,
+/// and stores no heap object per sample.
 #[test]
 fn checkpoint_encode_and_import_allocation_budget() {
     let wc = word_count().unwrap();
+    let mut exports = Vec::new();
     for slots in [120, 480] {
         let mut sim = FluidSim::new(
             wc.app.clone(),
@@ -165,6 +171,7 @@ fn checkpoint_encode_and_import_allocation_budget() {
         for metrics in &trace.slots {
             let _clean = sanitizer.sanitize(RawSlot::new(metrics.clone()));
         }
+        exports.push(allocations(|| scaler.export_state()));
         let ckpt = Checkpoint {
             version: CHECKPOINT_VERSION,
             slot: slots - 1,
@@ -179,6 +186,16 @@ fn checkpoint_encode_and_import_allocation_budget() {
             encode <= 32,
             "{slots} slots: Checkpoint::encode made {encode} allocations, budget 32"
         );
+        // The first two writes grow the store's two buffers; from then on
+        // a write of the same size reuses them.
+        let mut store = CheckpointStore::new();
+        store.write(&ckpt);
+        store.write(&ckpt);
+        let write = allocations(|| store.write(&ckpt));
+        assert_eq!(
+            write, 0,
+            "{slots} slots: a repeat CheckpointStore::write made {write} allocations"
+        );
 
         let state = ckpt.scaler.as_ref().expect("dragster exports state");
         let samples: usize = scaler.operator_gps().iter().map(OperatorGp::len).sum();
@@ -190,6 +207,11 @@ fn checkpoint_encode_and_import_allocation_budget() {
              budget {IMPORT_BUDGET}"
         );
     }
+    assert_eq!(
+        exports[0], exports[1],
+        "export_state grew with the history ({} allocations at 120 slots, {} at 480)",
+        exports[0], exports[1]
+    );
 }
 
 /// Slots of each loop run: enough for a window near slot 1,000.
@@ -395,6 +417,11 @@ struct Budget {
     /// One whole slot of `run_experiment`: the decide, the arrival rates,
     /// the engine's slot snapshot, the sanitizer and the trace.
     slot: usize,
+    /// One whole slot of `run_experiment_recoverable` with a checkpoint
+    /// every slot: the above, plus the journal record and its sealed line,
+    /// the learner-state export and the checkpoint around it; the store
+    /// writes into the buffers it keeps.
+    durable_slot: usize,
 }
 
 /// Counts one scenario through both loops and holds every steady window
@@ -406,10 +433,11 @@ struct Budget {
 /// hyper-parameter search builds a scratch model per refit, whose count
 /// depends on the refit window rather than on this gate's budget (DESIGN
 /// §11). The median also ignores the learner's own geometric growth (one
-/// reallocation per GP buffer each time its history doubles). Whole slots
-/// are gated on `run_experiment` only; on the recoverable loop each
-/// checkpoint also exports every GP sample, a count that grows with the
-/// history.
+/// reallocation per GP buffer, or per checkpoint buffer, each time its
+/// history doubles). On the recoverable loop each checkpoint exports every
+/// GP sample, but as one packed string per GP, so a whole slot does not
+/// grow with the history either: a failure there means a per-sample
+/// allocation came back into `export_state` or the checkpoint store.
 fn check_loop(scenario: Scenario, budget: Budget) {
     // The two loops run on their own threads, whose counters are their
     // own, so a scenario costs the longer run rather than the sum.
@@ -427,10 +455,15 @@ fn check_loop(scenario: Scenario, budget: Budget) {
         } else {
             "run_experiment"
         };
-        let mut gated = vec![("decide", counts, budget.decide)];
-        if !durable {
-            gated.push(("whole slot", slots, budget.slot));
-        }
+        let slot_budget = if durable {
+            budget.durable_slot
+        } else {
+            budget.slot
+        };
+        let gated = [
+            ("decide", counts, budget.decide),
+            ("whole slot", slots, slot_budget),
+        ];
         for (what, counts, budget) in gated {
             let early = window_median(&counts, &refit, EARLY);
             let late = window_median(&counts, &refit, LATE);
@@ -455,6 +488,7 @@ fn fig6_wordcount_loop_allocation_budget() {
         Budget {
             decide: 1,
             slot: 29,
+            durable_slot: 96,
         },
     );
 }
@@ -466,6 +500,7 @@ fn constant_rate_wordcount_loop_allocation_budget() {
         Budget {
             decide: 1,
             slot: 29,
+            durable_slot: 96,
         },
     );
 }
@@ -477,6 +512,7 @@ fn ogd_wordcount_loop_allocation_budget() {
         Budget {
             decide: 1,
             slot: 29,
+            durable_slot: 103,
         },
     );
 }
@@ -488,6 +524,7 @@ fn yahoo_budget_loop_allocation_budget() {
         Budget {
             decide: 1,
             slot: 57,
+            durable_slot: 184,
         },
     );
 }

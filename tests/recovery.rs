@@ -7,13 +7,14 @@
 
 use dragster::core::{Dragster, DragsterConfig, OperatorGp, UcbConfig};
 use dragster::gp::SquaredExp;
+use dragster::sim::checkpoint::{Checkpoint, CheckpointError, RetrySnapshot, CHECKPOINT_VERSION};
 use dragster::sim::faults::{FaultKind, FaultPlan, FaultRates, ScriptedFault};
 use dragster::sim::fluid::SimConfig;
 use dragster::sim::journal::{DecisionJournal, JournalError, JournalRecord, ReconfigOutcome};
 use dragster::sim::{
     run_experiment, run_experiment_recoverable, Autoscaler, ClusterConfig, ConstantArrival,
-    DegradeReason, Deployment, ExperimentOptions, FluidSim, NoiseConfig, RawSlot, RecoveryAction,
-    RecoveryOptions, RetryPolicy, SlotMetrics, Trace,
+    DegradeReason, Deployment, ExperimentOptions, FluidSim, MetricSanitizer, NoiseConfig, RawSlot,
+    RecoveryAction, RecoveryOptions, RetryPolicy, SanitizeConfig, SlotMetrics, Trace,
 };
 use dragster::workloads::word_count;
 
@@ -463,6 +464,83 @@ fn journal_detects_corruption_and_gaps() {
         Err(JournalError::Gap { slot }) => assert_eq!(slot, 2),
         other => panic!("expected gap error, got {other:?}"),
     }
+}
+
+/// Asserts that `detects` rejects every truncation of the sealed ASCII
+/// text `sealed` and every single-bit flip of it. A flip of a byte's top
+/// bit leaves invalid UTF-8, which no `&str` can hold, so a reader fails
+/// before the seal is checked; every other flip must fail `detects`.
+fn assert_every_damage_detected(what: &str, sealed: &str, detects: impl Fn(&str) -> bool) {
+    assert!(sealed.is_ascii(), "{what}: not ASCII");
+    for keep in 0..sealed.len() {
+        assert!(
+            detects(&sealed[..keep]),
+            "{what}: truncation to {keep} bytes passed"
+        );
+    }
+    for i in 0..sealed.len() {
+        for bit in 0..8 {
+            let mut flipped = sealed.as_bytes().to_vec();
+            flipped[i] ^= 1 << bit;
+            match String::from_utf8(flipped) {
+                Ok(text) => assert!(
+                    detects(&text),
+                    "{what}: flip of bit {bit} of byte {i} passed"
+                ),
+                Err(_) => assert_eq!(bit, 7, "{what}: bit {bit} of byte {i}"),
+            }
+        }
+    }
+}
+
+/// The seal detects every truncation and every single-bit flip of a
+/// checkpoint of a short WordCount run (a few kB) and of one of its
+/// journal lines: a checkpoint as `Torn`, a journal line as an error that
+/// replay reports as `Corrupt`.
+#[test]
+fn every_truncation_and_bit_flip_of_a_sealed_blob_is_detected() {
+    let w = word_count().unwrap();
+    let mut sim = make_sim(FaultPlan::none(), SEED);
+    let mut scaler = Dragster::new(w.app.topology.clone(), DragsterConfig::saddle_point());
+    let mut arrival = ConstantArrival(w.high_rate.clone());
+    let trace = run_experiment(&mut sim, &mut scaler, &mut arrival, SLOTS).unwrap();
+    let mut sanitizer = MetricSanitizer::new(SanitizeConfig::default());
+    for m in &trace.slots {
+        let _clean = sanitizer.sanitize(RawSlot::new(m.clone()));
+    }
+    let last = SLOTS - 1;
+    let ckpt = Checkpoint {
+        version: CHECKPOINT_VERSION,
+        slot: last,
+        scheme: scaler.name(),
+        deployment: sim.deployment().tasks.clone(),
+        scaler: scaler.export_state(),
+        sanitizer: sanitizer.snapshot(),
+        retry: RetrySnapshot::default(),
+    };
+    let blob = ckpt.encode();
+    assert!(
+        (1_000..10_000).contains(&blob.len()),
+        "{} bytes is not a few kB",
+        blob.len()
+    );
+    assert_eq!(Checkpoint::decode(&blob), Ok(ckpt));
+    assert_every_damage_detected("checkpoint", &blob, |text| {
+        matches!(Checkpoint::decode(text), Err(CheckpointError::Torn { .. }))
+    });
+
+    let record = JournalRecord {
+        t: last,
+        raw: RawSlot::new(trace.slots[last].clone()),
+        deployment_before: trace.deployments[last].tasks.clone(),
+        decided: sim.deployment().tasks.clone(),
+        outcome: ReconfigOutcome::Applied,
+    };
+    let line = record.encode();
+    assert_eq!(JournalRecord::decode(&line), Ok(record));
+    assert_every_damage_detected("journal line", &line, |text| {
+        JournalRecord::decode(text).is_err()
+    });
 }
 
 /// With seed 42 the WordCount GPs swap kernels from the configured
