@@ -97,9 +97,16 @@ impl UcbConfig {
 /// Observations entering the hyper-parameter grid search: the most recent
 /// window of residual history. Large enough that every existing fit
 /// (refits trigger every ~12 observations) sees all the data it used to;
-/// small enough that the O(W²·K) candidate fits stay constant-cost over
-/// long horizons.
+/// small enough that the O(W²·D) candidate fits, over the `D ≤ K` task
+/// counts the window visited, stay constant-cost over long horizons.
 const HYPER_FIT_WINDOW: usize = 48;
+
+/// The hyper-parameter candidates of the periodic refit: every pair of a
+/// length scale and a signal variance.
+const HYPER_FIT: GpHyperFit<'static> = GpHyperFit {
+    length_scales: &[1.0, 2.0, 3.0, 5.0, 8.0],
+    signal_vars: &[0.05, 0.25, 1.0],
+};
 
 /// The per-operator capacity model: a 1-D GP over the task grid
 /// `1..=max_tasks`.
@@ -261,19 +268,14 @@ impl OperatorGp {
         }
         // The grid search fits a fresh model per candidate, so it is fit
         // on a sliding window of recent residuals to keep the periodic
-        // refit O(W²·K) instead of growing with the history.
+        // refit O(W²·D) instead of growing with the history.
         let start = self.history.len().saturating_sub(HYPER_FIT_WINDOW);
-        let samples: Vec<(usize, f64)> = self
+        let window = self
             .history
             .iter()
             .skip(start)
-            .map(|&(t, c)| (t - 1, c / self.scale - self.prior(t)))
-            .collect();
-        let fit = GpHyperFit {
-            length_scales: vec![1.0, 2.0, 3.0, 5.0, 8.0],
-            signal_vars: vec![0.05, 0.25, 1.0],
-        };
-        let (l, s2, _) = fit.fit_se(self.gp.points(), &samples, self.cfg.noise_var)?;
+            .map(|&(t, c)| (t - 1, c / self.scale - self.prior(t)));
+        let (l, s2, _) = HYPER_FIT.fit_se(self.gp.points(), window, self.cfg.noise_var)?;
         // The candidate grids are discrete, so an unchanged winner means an
         // exactly unchanged kernel — skip the full-history rebuild.
         #[allow(clippy::float_cmp)]

@@ -41,13 +41,10 @@ use crate::regression::{sample_gaussian, GpPosterior};
 /// `x`, including `−0.0`).
 const SUM_START: f64 = -0.0;
 
-/// Row widths are padded to a multiple of this many lanes, so grids of 8
-/// to 11 points share the 12-lane register pass of [`sweep`].
+/// Row widths are padded to a multiple of this many lanes, so every grid
+/// of up to 11 points shares one of the 4-, 8- and 12-lane register passes
+/// of [`sweep`].
 const LANE_BLOCK: usize = 4;
-
-/// The one row width whose observation pass runs on a fixed-size array:
-/// the controller's grid of 1 to 10 tasks pads to it.
-const REGISTER_STRIDE: usize = 12;
 
 /// Exact GP posterior over a fixed grid of 1-D points, with a zero prior
 /// mean.
@@ -69,6 +66,11 @@ pub struct GridGp<K: Kernel> {
     /// Lanes per row: the `K` solved-column entries, `w_k`, then zero
     /// padding up to a multiple of [`LANE_BLOCK`].
     stride: usize,
+    /// `K(grid, grid)`, one row of `stride` lanes per grid point with zero
+    /// padding past the `K` kernel values: the start of every new row of
+    /// `V`. Filled by the first `observe` after `new` or `reset_with`, and
+    /// empty until then.
+    table: Vec<f64>,
     /// Sample-major rows, `stride` lanes each.
     rows: Vec<f64>,
     /// Grid index of each observation.
@@ -98,6 +100,7 @@ impl<K: Kernel> GridGp<K> {
             noise_var,
             stride: (k + 1).div_ceil(LANE_BLOCK) * LANE_BLOCK,
             points,
+            table: Vec::new(),
             rows: Vec::new(),
             obs: Vec::new(),
             pivots: Vec::new(),
@@ -149,7 +152,29 @@ impl<K: Kernel> GridGp<K> {
     /// every observation, as [`GridGp::reset`].
     pub fn reset_with(&mut self, kernel: K) {
         self.kernel = kernel;
+        self.table.clear();
         self.reset();
+    }
+
+    /// Room for `n` observations, so that many `observe` calls allocate
+    /// nothing more for the rows.
+    fn reserve(&mut self, n: usize) {
+        self.rows.reserve_exact(n * self.stride);
+        self.obs.reserve_exact(n);
+        self.pivots.reserve_exact(n);
+    }
+
+    /// Evaluate the kernel table: `K²` kernel calls, where an observation
+    /// without it makes `K`.
+    fn fill_table(&mut self) {
+        let kernel = &self.kernel;
+        self.table.reserve_exact(self.points.len() * self.stride);
+        for &xg in &self.points {
+            let start = self.table.len();
+            self.table
+                .extend(self.points.iter().map(|&xj| kernel.eval(&[xg], &[xj])));
+            self.table.resize(start + self.stride, 0.0);
+        }
     }
 
     /// Add the observation `y` at grid point `gi`: one pass over the rows
@@ -173,13 +198,14 @@ impl<K: Kernel> GridGp<K> {
             return Err(GpError::NotPositiveDefinite { pivot: n });
         }
         let pivot = pivot2.sqrt();
+        if self.table.is_empty() {
+            self.fill_table();
+        }
         let start = self.rows.len();
-        self.rows.reserve(self.stride);
-        let kernel = &self.kernel;
+        let row = gi * self.stride;
         self.rows
-            .extend(self.points.iter().map(|&xj| kernel.eval(&[xg], &[xj])));
-        self.rows.push(y);
-        self.rows.resize(start + self.stride, 0.0);
+            .extend_from_slice(&self.table[row..row + self.stride]);
+        self.rows[start + k] = y;
         let (old, new) = self.rows.split_at_mut(start);
         sweep(old, gi, new);
         for v in new.iter_mut() {
@@ -289,23 +315,27 @@ impl<K: Kernel> GridGp<K> {
 
 /// Subtract `a_k · row_k` from `acc` lane by lane over every row `k` of
 /// `rows`, with `a_k = row_k[gi]`: the forward-substitution step of every
-/// lane of a new row at once. Rows of [`REGISTER_STRIDE`] lanes run on a
-/// fixed-size copy of `acc`, which the compiler keeps in registers, so the
-/// lanes' dependency chains advance together; every other width runs on
-/// the slice. Both perform the same operations in the same order.
-fn sweep(rows: &[f64], gi: usize, acc: &mut [f64]) {
-    if let Ok(acc) = <&mut [f64; REGISTER_STRIDE]>::try_from(&mut *acc) {
-        return sweep_fixed(rows, gi, acc);
+/// lane of a new row at once. Rows of 4, 8 or 12 lanes (grids of up to 11
+/// points) run on a fixed-size copy of `acc`, which the compiler keeps in
+/// registers, so the lanes' dependency chains advance together; every
+/// other width runs on the slice. Both perform the same operations in the
+/// same order. Returns whether a register pass ran.
+fn sweep(rows: &[f64], gi: usize, acc: &mut [f64]) -> bool {
+    let registers = sweep_fixed::<4>(rows, gi, acc)
+        || sweep_fixed::<8>(rows, gi, acc)
+        || sweep_fixed::<12>(rows, gi, acc);
+    if !registers {
+        sweep_slice(rows, gi, acc);
     }
-    for row in rows.chunks_exact(acc.len()) {
-        let a = row[gi];
-        for (r, v) in acc.iter_mut().zip(row) {
-            *r -= a * v;
-        }
-    }
+    registers
 }
 
-fn sweep_fixed<const S: usize>(rows: &[f64], gi: usize, acc: &mut [f64; S]) {
+/// [`sweep`] on rows of exactly `S` lanes; `false`, with nothing done, for
+/// any other width.
+fn sweep_fixed<const S: usize>(rows: &[f64], gi: usize, acc: &mut [f64]) -> bool {
+    let Ok(acc) = <&mut [f64; S]>::try_from(acc) else {
+        return false;
+    };
     let mut regs = *acc;
     for row in rows.as_chunks::<S>().0 {
         let a = row[gi];
@@ -314,6 +344,17 @@ fn sweep_fixed<const S: usize>(rows: &[f64], gi: usize, acc: &mut [f64; S]) {
         }
     }
     *acc = regs;
+    true
+}
+
+/// [`sweep`] on the slice, for any width.
+fn sweep_slice(rows: &[f64], gi: usize, acc: &mut [f64]) {
+    for row in rows.chunks_exact(acc.len()) {
+        let a = row[gi];
+        for (r, v) in acc.iter_mut().zip(row) {
+            *r -= a * v;
+        }
+    }
 }
 
 /// Grid-search hyper-parameter fitting for the squared-exponential kernel:
@@ -321,26 +362,33 @@ fn sweep_fixed<const S: usize>(rows: &[f64], gi: usize, acc: &mut [f64; S]) {
 /// of a grid history. This mirrors what `sklearn` does with its L-BFGS
 /// restarts, at the fidelity the 10-point-per-dimension config grids of the
 /// paper need.
-pub struct GpHyperFit {
+#[derive(Clone, Copy, Debug)]
+pub struct GpHyperFit<'a> {
     /// Candidate length scales.
-    pub length_scales: Vec<f64>,
+    pub length_scales: &'a [f64],
     /// Candidate signal variances.
-    pub signal_vars: Vec<f64>,
+    pub signal_vars: &'a [f64],
 }
 
-impl Default for GpHyperFit {
+impl Default for GpHyperFit<'static> {
     fn default() -> Self {
         GpHyperFit {
-            length_scales: vec![0.5, 1.0, 2.0, 3.0, 5.0],
-            signal_vars: vec![0.25, 1.0, 4.0, 16.0],
+            length_scales: &[0.5, 1.0, 2.0, 3.0, 5.0],
+            signal_vars: &[0.25, 1.0, 4.0, 16.0],
         }
     }
 }
 
-impl GpHyperFit {
+impl GpHyperFit<'_> {
     /// Fit on `samples`, `(grid index, observation)` pairs over `points`,
     /// with the given noise variance; returns the best
     /// `(length_scale, signal_var, lml)`. The first candidate wins ties.
+    ///
+    /// Each candidate is fit on a grid of only the `D` points the samples
+    /// visit, with the same bits as on the whole grid: a lane of a new row
+    /// reads only its own column and the visited point's, and the
+    /// likelihood reads only the pivots and `w`. Its buffers are reserved
+    /// once per call, for every candidate.
     ///
     /// Candidates whose Gram matrix turns out numerically indefinite are
     /// skipped rather than aborting the search.
@@ -351,16 +399,43 @@ impl GpHyperFit {
     pub fn fit_se(
         &self,
         points: &[f64],
-        samples: &[(usize, f64)],
+        samples: impl IntoIterator<Item = (usize, f64)>,
         noise_var: f64,
     ) -> Result<(f64, f64, f64), GpError> {
+        let mut window: Vec<(usize, f64)> = samples.into_iter().collect();
+        // A sample off the grid fails every candidate there, after the ones
+        // before it, as it would on the whole grid.
+        let k = points.len();
+        let on_grid = window
+            .iter()
+            .position(|&(gi, _)| gi >= k)
+            .unwrap_or(window.len());
+        let off_grid = window
+            .get(on_grid)
+            .map(|&(index, _)| GpError::OffGrid { index, points: k });
+        window.truncate(on_grid);
+        // Number the visited points in order of first visit.
+        let mut sub_index = vec![usize::MAX; k];
+        let mut visited = Vec::with_capacity(k);
+        for (gi, _) in &mut window {
+            if sub_index[*gi] == usize::MAX {
+                sub_index[*gi] = visited.len();
+                visited.push(points[*gi]);
+            }
+            *gi = sub_index[*gi];
+        }
+        let mut gp = GridGp::new(SquaredExp::new(1.0), noise_var, visited);
+        gp.reserve(window.len());
         let mut best: Option<(f64, f64, f64)> = None;
         let mut last_err = GpError::NotPositiveDefinite { pivot: 0 };
-        let mut gp = GridGp::new(SquaredExp::new(1.0), noise_var, points.to_vec());
-        for &l in &self.length_scales {
-            for &s in &self.signal_vars {
+        for &l in self.length_scales {
+            for &s in self.signal_vars {
                 gp.reset_with(SquaredExp::with_signal(l, s));
-                if let Err(e) = samples.iter().try_for_each(|&(gi, y)| gp.observe(gi, y)) {
+                let fitted = window
+                    .iter()
+                    .try_for_each(|&(gi, y)| gp.observe(gi, y))
+                    .and(off_grid.map_or(Ok(()), Err));
+                if let Err(e) = fitted {
                     last_err = e;
                     continue;
                 }
@@ -406,8 +481,23 @@ mod tests {
             let gp = GridGp::new(SquaredExp::new(1.0), 1e-2, points);
             assert_eq!(gp.stride, stride, "{k} points");
         }
-        let tasks = GridGp::new(SquaredExp::new(1.0), 1e-2, grid());
-        assert_eq!(tasks.stride, REGISTER_STRIDE, "the task grid's pass");
+    }
+
+    #[test]
+    fn register_passes_run_at_4_8_and_12_lanes() {
+        // Grids of up to 11 points pad to one of the three register widths;
+        // wider rows take the slice, and every width computes the slice's
+        // bits.
+        for stride in (4..=24).step_by(4) {
+            let rows: Vec<f64> = (0..5 * stride).map(|i| (i as f64).sin()).collect();
+            let start: Vec<f64> = (0..stride).map(|i| (i as f64).cos()).collect();
+            let (mut fast, mut slow) = (start.clone(), start);
+            let registers = sweep(&rows, 2, &mut fast);
+            sweep_slice(&rows, 2, &mut slow);
+            assert_eq!(registers, [4, 8, 12].contains(&stride), "{stride} lanes");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&slow), "{stride} lanes");
+        }
     }
 
     #[test]
@@ -458,7 +548,7 @@ mod tests {
             .map(|(i, x)| (i, (x * 0.4).sin() * 2.0))
             .collect();
         let (l, s, lml) = GpHyperFit::default()
-            .fit_se(&points, &samples, 1e-4)
+            .fit_se(&points, samples, 1e-4)
             .unwrap();
         assert!(l >= 0.5, "picked degenerate length scale {l}");
         assert!(s > 0.0);
@@ -467,11 +557,26 @@ mod tests {
 
     #[test]
     fn hyper_fit_fails_only_when_every_candidate_fails() {
-        let err = GpHyperFit::default().fit_se(&grid(), &[(10, 1.0)], 1e-2);
+        let fit = GpHyperFit::default();
+        let err = fit.fit_se(&grid(), [(10, 1.0)], 1e-2);
         assert_eq!(
             err,
             Err(GpError::OffGrid {
                 index: 10,
+                points: 10
+            })
+        );
+        // The fit runs on the visited points only, yet a candidate fails at
+        // the same sample as on the whole grid: an indefinite pivot before
+        // an off-grid index is the error, and an off-grid index names the
+        // whole grid's length.
+        let indefinite = fit.fit_se(&grid(), [(2, 1.0), (2, 1.0), (10, 0.0)], 1e-300);
+        assert_eq!(indefinite, Err(GpError::NotPositiveDefinite { pivot: 1 }));
+        let off_grid = fit.fit_se(&grid(), [(2, 1.0), (7, 0.5), (11, 0.0)], 1e-2);
+        assert_eq!(
+            off_grid,
+            Err(GpError::OffGrid {
+                index: 11,
                 points: 10
             })
         );

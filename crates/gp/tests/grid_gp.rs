@@ -50,6 +50,19 @@ fn random_history(rng: &mut Rng, k: usize, len: usize) -> Vec<(usize, f64)> {
         .collect()
 }
 
+/// A random history over `d` of the `k` grid points, drawn at random:
+/// the windows a hyper-parameter refit sees visit only some task counts.
+fn subset_history(rng: &mut Rng, k: usize, d: usize, len: usize) -> Vec<(usize, f64)> {
+    let mut subset: Vec<usize> = (0..k).collect();
+    for i in 0..d {
+        let j = i + rng.below(k - i);
+        subset.swap(i, j);
+    }
+    (0..len)
+        .map(|_| (subset[rng.below(d)], rng.unit() * 4.0 - 2.0))
+        .collect()
+}
+
 fn replay_grid(gp: &mut GridGp<SquaredExp>, history: &[(usize, f64)]) {
     for &(gi, y) in history {
         gp.observe(gi, y).unwrap();
@@ -113,9 +126,9 @@ fn check_against_oracle(gp: &GridGp<SquaredExp>, oracle: &GpRegressor<SquaredExp
 fn grid_gp_matches_the_oracle_after_every_observation() {
     let trials: u64 = if cfg!(miri) { 2 } else { 8 };
     let steps = if cfg!(miri) { 8 } else { 60 };
-    // Ten points use the fixed-width 12-lane pass, five and twenty the
-    // slice fallback.
-    for k in [10, 5, 20] {
+    // Three, five and ten points use the 4-, 8- and 12-lane register
+    // passes, twenty the slice.
+    for k in [10, 3, 5, 20] {
         for trial in 0..trials {
             let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ (trial + 1));
             let points = grid(k);
@@ -211,8 +224,8 @@ fn oracle_fit_se(
 ) -> Result<(f64, f64, f64), GpError> {
     let mut best: Option<(f64, f64, f64)> = None;
     let mut last_err = GpError::NotPositiveDefinite { pivot: 0 };
-    for &l in &fit.length_scales {
-        for &s in &fit.signal_vars {
+    for &l in fit.length_scales {
+        for &s in fit.signal_vars {
             let mut gp = GpRegressor::new(SquaredExp::with_signal(l, s), noise_var);
             let mut ok = true;
             for (x, &c) in xs.iter().zip(cs.iter()) {
@@ -240,25 +253,39 @@ fn grid_search_returns_the_oracle_search_bits() {
     // The controller's candidates and the library default.
     let fits = [
         GpHyperFit {
-            length_scales: vec![1.0, 2.0, 3.0, 5.0, 8.0],
-            signal_vars: vec![0.05, 0.25, 1.0],
+            length_scales: &[1.0, 2.0, 3.0, 5.0, 8.0],
+            signal_vars: &[0.05, 0.25, 1.0],
         },
         GpHyperFit::default(),
     ];
+    // Histories over the whole grid, then over a random subset of `d`
+    // points for every `d`: the search fits only the points visited, at
+    // every register width and on the slice.
+    let mut histories = Vec::new();
     for trial in 0..if cfg!(miri) { 2u64 } else { 24 } {
         let mut rng = Rng(0xA5A5_5A5A_F0F0_0F0F ^ trial);
         let len = 4 + rng.below(45);
-        let history = random_history(&mut rng, 10, len);
+        histories.push(random_history(&mut rng, 10, len));
+    }
+    let per_width: u64 = if cfg!(miri) { 1 } else { 4 };
+    for d in 1..=10 {
+        for trial in 0..per_width {
+            let mut rng = Rng(0x5EED_0F5E_75D0_0000 ^ ((d as u64) << 8) ^ trial);
+            let len = 4 + rng.below(45);
+            histories.push(subset_history(&mut rng, 10, d, len));
+        }
+    }
+    for (h, history) in histories.iter().enumerate() {
         let xs: Vec<Vec<f64>> = history.iter().map(|&(g, _)| vec![points[g]]).collect();
         let cs: Vec<f64> = history.iter().map(|&(_, y)| y).collect();
         for noise in [1e-3, 1e-2] {
             for fit in &fits {
-                let (l, s, lml) = fit.fit_se(&points, &history, noise).unwrap();
+                let (l, s, lml) = fit.fit_se(&points, history.iter().copied(), noise).unwrap();
                 let (ol, os, olml) = oracle_fit_se(fit, &xs, &cs, noise).unwrap();
                 assert_eq!(
                     (l.to_bits(), s.to_bits(), lml.to_bits()),
                     (ol.to_bits(), os.to_bits(), olml.to_bits()),
-                    "trial {trial}, noise {noise}: grid ({l}, {s}, {lml}) vs oracle ({ol}, {os}, {olml})"
+                    "history {h}, noise {noise}: grid ({l}, {s}, {lml}) vs oracle ({ol}, {os}, {olml})"
                 );
             }
         }

@@ -302,18 +302,29 @@ pub fn hex_digits(v: u64) -> [u8; 16] {
 }
 
 /// Inverse of [`hex_digits`]: exactly 16 lowercase hex digits, or `None`.
+/// All 16 bytes are checked and converted at once, one per byte of a
+/// `u128`: once no byte has its top bit set, adding `0x80 − b` to every
+/// byte sets that bit exactly in the bytes `≥ b`, with no carry into the
+/// next byte. Each byte's low nibble, plus 9 for a letter, is its digit,
+/// and the nibbles are then packed pairwise into the `u64`.
 fn hex_word(digits: &[u8]) -> Option<u64> {
-    if digits.len() != 16 {
+    const ONES: u128 = u128::MAX / 0xff;
+    const TOP: u128 = ONES * 0x80;
+    let x = u128::from_be_bytes(digits.try_into().ok()?);
+    if x & TOP != 0 {
         return None;
     }
-    digits.iter().try_fold(0u64, |word, &d| {
-        let nibble = match d {
-            b'0'..=b'9' => d - b'0',
-            b'a'..=b'f' => d - b'a' + 10,
-            _ => return None,
-        };
-        Some(word << 4 | u64::from(nibble))
-    })
+    let at_least = |b: u8| (x + ONES * u128::from(0x80 - b)) & TOP;
+    let digit = at_least(b'0') & !at_least(b'9' + 1);
+    let letter = at_least(b'a') & !at_least(b'f' + 1);
+    if digit | letter != TOP {
+        return None;
+    }
+    let x = (x & (ONES * 0x0f)) + (letter >> 7) * 9;
+    let x = (x >> 4 | x) & (ONES / 0x0101 * 0xff);
+    let x = (x >> 8 | x) & (ONES / 0x0101_0101 * 0xffff);
+    let x = (x >> 16 | x) & (ONES / 0x0101_0101_0101_0101 * 0xffff_ffff);
+    u64::try_from((x >> 32 | x) & u128::from(u64::MAX)).ok()
 }
 
 /// Writes an `f64`'s IEEE-754 bit pattern as 16 hex digits into `out`
@@ -867,6 +878,25 @@ mod tests {
         );
         assert_eq!(bits_arr(&[]), Json::Str(String::new()));
         assert_eq!(bits_vec(&Json::Str(String::new())), Some(Vec::new()));
+    }
+
+    #[test]
+    fn hex_word_accepts_exactly_lowercase_hex_at_every_position() {
+        let base = *b"0123456789abcdef";
+        for pos in 0..16 {
+            for byte in 0..=u8::MAX {
+                let mut word = base;
+                word[pos] = byte;
+                let hex = matches!(byte, b'0'..=b'9' | b'a'..=b'f');
+                let expect = hex
+                    .then(|| u64::from_str_radix(std::str::from_utf8(&word).ok()?, 16).ok())
+                    .flatten();
+                assert_eq!(hex_word(&word), expect, "byte {byte:#04x} at {pos}");
+                assert_eq!(expect.is_some(), hex, "byte {byte:#04x} at {pos}");
+            }
+        }
+        assert_eq!(hex_word(b"ffffffffffffffff"), Some(u64::MAX));
+        assert_eq!(hex_word(b"0123456789abcde"), None);
     }
 
     #[test]
